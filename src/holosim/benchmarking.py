@@ -13,13 +13,18 @@ turn the decay constants into per-Clifford and per-gate fidelities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import FitDivergenceError, OutOfRangeError, RatioOutOfRangeError
+from .errors import (
+    FitDivergenceError,
+    OutOfRangeError,
+    RatioOutOfRangeError,
+    write_json,
+    write_text,
+)
 from .evolution import DEFAULT_STEPS, schedule_channel
 from .holonomic import (
     QUBIT_GATES,
@@ -87,8 +92,7 @@ class RbRecord:
         lines = ["m,mean,stddev,k"]
         for m, mean, sd in zip(self.lengths, self.means, self.stddevs):
             lines.append(f"{m},{float(mean)!r},{float(sd)!r},{self.k}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,7 @@ class RbRun:
                 "B": self.interleaved.fit.b,
             }
             payload["F_gate"][self.gate_name] = self.gate_fidelity
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def random_sequence(
@@ -159,17 +161,10 @@ def survival_probability(superops, rho0: np.ndarray | None = None) -> float:
     return float(v[0].real)
 
 
-def _clifford_channels(cfg: RbConfig, table) -> dict:
-    channels = {}
-    for params in table:
-        if params not in channels:
-            channels[params] = schedule_channel(
-                synthesize_qubit_gate(params),
-                noise=cfg.noise,
-                err=cfg.err,
-                steps=cfg.steps,
-            )
-    return channels
+def _gate_channel(cfg: RbConfig, params: HolonomicParams) -> np.ndarray:
+    return schedule_channel(
+        synthesize_qubit_gate(params), noise=cfg.noise, err=cfg.err, steps=cfg.steps
+    )
 
 
 def _collect(cfg: RbConfig, table, channels, stream: int, interleave, gate_channel):
@@ -197,7 +192,7 @@ def run_rb(cfg: RbConfig) -> RbRun:
     order; the interleaved experiment uses fresh sequences (stream 1).
     """
     table = clifford_table()
-    channels = _clifford_channels(cfg, table)
+    channels = {params: _gate_channel(cfg, params) for params in dict.fromkeys(table)}
 
     def record(survivals):
         means = survivals.mean(axis=1)
@@ -218,12 +213,7 @@ def run_rb(cfg: RbConfig) -> RbRun:
     gate_params = QUBIT_GATES[cfg.interleaved]
     gate_channel = channels.get(gate_params)
     if gate_channel is None:
-        gate_channel = schedule_channel(
-            synthesize_qubit_gate(gate_params),
-            noise=cfg.noise,
-            err=cfg.err,
-            steps=cfg.steps,
-        )
+        gate_channel = _gate_channel(cfg, gate_params)
     interleaved = record(_collect(cfg, table, channels, 1, gate_params, gate_channel))
     return RbRun(
         reference=reference,

@@ -14,7 +14,7 @@ multi-start lists), so identical inputs give identical fits.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +23,14 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from . import model as md
-from .errors import DimensionMismatchError, FitDivergenceError, OutOfRangeError
+from .errors import (
+    DimensionMismatchError,
+    FitDivergenceError,
+    IoError,
+    OutOfRangeError,
+    write_json,
+    write_text,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +56,8 @@ class Trace:
             )
         if t.size < 8:
             raise OutOfRangeError(f"need at least 8 samples, got {t.size}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise OutOfRangeError("times and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise OutOfRangeError("times must be strictly increasing")
 
@@ -60,19 +69,21 @@ class Trace:
         lines = ["time_s,value"]
         for t, v in zip(self.times, self.values):
             lines.append(f"{float(t)!r},{float(v)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path, label: str = "", detrend_degree: int | None = None):
         """Read (time_s, value) rows; optionally subtract a polynomial trend.
 
         The detrend flag mirrors the background-subtraction step used on
-        hardware traces; simulated traces never need it.
+        hardware traces; simulated traces never need it. A cell that does not
+        parse as a finite number raises IoError naming the file.
         """
         data = np.genfromtxt(path, delimiter=",", names=True)
         times = np.atleast_1d(data["time_s"]).astype(float)
         values = np.atleast_1d(data["value"]).astype(float)
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise IoError(f"trace {path} has a non-numeric or non-finite cell")
         if detrend_degree is not None:
             if detrend_degree < 0:
                 raise OutOfRangeError(
@@ -104,10 +115,11 @@ def _covariance(fit) -> np.ndarray:
     return s2 * np.linalg.pinv(fit.jac.T @ fit.jac)
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _fit_payload(fit) -> dict:
+    """Every field of a fit result, the covariance as nested lists."""
+    payload = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)}
+    payload["covariance"] = fit.covariance.tolist()
+    return payload
 
 
 # ---- rate-equation relaxation fit ----
@@ -123,13 +135,7 @@ class RateFit:
     covariance: np.ndarray
 
     def to_json(self, path) -> None:
-        _write_json(path, {
-            "gamma_eg": self.gamma_eg,
-            "gamma_fe": self.gamma_fe,
-            "gamma_fg": self.gamma_fg,
-            "residual_rms": self.residual_rms,
-            "covariance": self.covariance.tolist(),
-        })
+        write_json(path, _fit_payload(self))
 
 
 def rate_populations(rates, times, p0) -> np.ndarray:
@@ -197,16 +203,10 @@ class RamseyFit:
     covariance: np.ndarray
 
     def to_json(self, path) -> None:
-        _write_json(path, {
-            "t2_star": None if math.isinf(self.t2_star) else self.t2_star,
-            "f1": self.f1, "f2": self.f2,
-            "a1": self.a1, "a2": self.a2,
-            "phi1": self.phi1, "phi2": self.phi2,
-            "offset": self.offset,
-            "single_tone": self.single_tone,
-            "residual_rms": self.residual_rms,
-            "covariance": self.covariance.tolist(),
-        })
+        payload = _fit_payload(self)
+        if math.isinf(self.t2_star):
+            payload["t2_star"] = None
+        write_json(path, payload)
 
 
 def _spectral_peaks(trace: Trace):
@@ -276,16 +276,16 @@ def _ramsey_model(x, t):
 SECOND_TONE_FLOOR = 0.05
 
 
-def fit_ramsey(trace: Trace, second_tone_floor: float = SECOND_TONE_FLOOR) -> RamseyFit:
+def fit_ramsey(trace: Trace) -> RamseyFit:
     """Fit y0 + e^{-t/T2*} [A1 cos(2 pi f1 t + p1) + A2 cos(2 pi f2 t + p2)].
 
     Frequencies start from the two dominant spectral peaks; when the second
-    peak is below ``second_tone_floor`` of the main one, the fit falls back
+    peak is below SECOND_TONE_FLOOR of the main one, the fit falls back
     to a single tone and reports A2 = 0. The decay is parameterized by the
     rate 1/T2*, so undamped data fits cleanly at rate 0.
     """
     f_main, f_second, rel = _spectral_peaks(trace)
-    two_tone = f_second is not None and rel >= second_tone_floor
+    two_tone = f_second is not None and rel >= SECOND_TONE_FLOOR
     f_lo = f_main if not two_tone else min(f_main, f_second)
     if trace.span * f_lo < 2.0:
         raise FitDivergenceError(
@@ -361,15 +361,7 @@ class RabiFit:
     covariance: np.ndarray
 
     def to_json(self, path) -> None:
-        _write_json(path, {
-            "omega_r": self.omega_r,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "phase": self.phase,
-            "decay_rate": self.decay_rate,
-            "residual_rms": self.residual_rms,
-            "covariance": self.covariance.tolist(),
-        })
+        write_json(path, _fit_payload(self))
 
 
 def fit_rabi(trace: Trace) -> RabiFit:
@@ -424,12 +416,7 @@ class ChevronFit:
     covariance: np.ndarray
 
     def to_json(self, path) -> None:
-        _write_json(path, {
-            "center": self.center,
-            "g": self.g,
-            "residual_rms": self.residual_rms,
-            "covariance": self.covariance.tolist(),
-        })
+        write_json(path, _fit_payload(self))
 
 
 def chevron_omega(offsets, center: float, g: float):

@@ -72,7 +72,7 @@ from .calibration import (
     fit_ramsey,
     fit_rate_equation,
 )
-from .errors import ConfigError, HolosimError, IoError
+from .errors import ConfigError, HolosimError, IoError, write_json
 from .evolution import schedule_unitary
 from .holonomic import (
     CAVITY_GATES,
@@ -82,7 +82,6 @@ from .holonomic import (
     synthesize_qubit_gate,
     target_u1,
 )
-from .operators import embed_gf
 from .pulses import TruncatedGaussian
 
 TWO_PI = 2.0 * math.pi
@@ -154,15 +153,6 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError(f"top level must be an object, got {type(cfg).__name__}")
     return cfg, hashlib.sha256(raw).hexdigest()
-
-
-def _write_json(path, payload: dict) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_device(cfg):
@@ -255,10 +245,6 @@ def _parse_axis(block, key, path, default_min, default_max):
     return np.linspace(lo, hi, count)
 
 
-def _reduced_target_chi(target: np.ndarray) -> tm.ChiMatrix:
-    return tm.reduce_chi(tm.chi_of_unitary(embed_gf(target)))
-
-
 # ---- subcommand handlers ----
 
 @dataclass(frozen=True)
@@ -307,10 +293,10 @@ def _run_gate(cfg, ctx: RunContext):
     }
     if devname != "none":
         res = tm.simulate_qpt(schedule, noise=noise, err=err, shots=None, steps=steps)
-        chi_t = _reduced_target_chi(target_u1(params))
+        chi_t = tm.reduced_target_chi(target_u1(params))
         payload["fidelity_att"] = tm.fidelity_att(res.chi_reduced, chi_t)
         payload["fidelity_unatt"] = tm.fidelity_unatt(res.chi_reduced, chi_t)
-    _write_json(ctx.path("gate_report.json"), payload)
+    write_json(ctx.path("gate_report.json"), payload)
     return ["gate_report.json"]
 
 
@@ -338,11 +324,11 @@ def _run_qpt(cfg, ctx: RunContext):
         schedule, noise=noise, err=err, shots=shots, seed=ctx.seed,
         steps=steps, mle=mle, project=project,
     )
-    chi_t = _reduced_target_chi(target_u1(params))
+    chi_t = tm.reduced_target_chi(target_u1(params))
     res.chi.to_csv(ctx.path("chi_full.csv"))
     res.chi_reduced.to_csv(ctx.path("chi_reduced.csv"))
     res.record.to_json(ctx.path("record.json"))
-    _write_json(ctx.path("qpt_summary.json"), {
+    write_json(ctx.path("qpt_summary.json"), {
         "gate": label,
         "device": devname,
         "shots": shots,
@@ -477,15 +463,21 @@ def _read_chevron_points(path_str: str, ctx: RunContext):
     path = ctx.data_path(path_str)
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            rows = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise IoError(f"cannot read chevron points {path}: {exc}") from exc
-    if lines and lines[0].lower().startswith("offset"):
-        lines = lines[1:]
+    if rows and rows[0][1].lower().startswith("offset"):
+        rows = rows[1:]
     points = []
-    for ln in lines:
+    for n, ln in rows:
         cols = ln.split(",")
-        points.append(ChevronPoint(offset=float(cols[0]), omega_r=float(cols[1])))
+        try:
+            offset, omega_r = float(cols[0]), float(cols[1])
+        except (ValueError, IndexError) as exc:
+            raise IoError(
+                f"chevron points {path} line {n}: expected two numbers, got {ln!r}"
+            ) from exc
+        points.append(ChevronPoint(offset=offset, omega_r=omega_r))
     return points
 
 
@@ -589,13 +581,13 @@ def run(
         "tool_version": __version__,
         "started_at_unix": time.time(),
     }
-    _write_json(ctx.path("manifest.json"), manifest)
+    write_json(ctx.path("manifest.json"), manifest)
     t0 = time.perf_counter()
     artifacts = _HANDLERS[subcommand](cfg, ctx)
     manifest["status"] = "complete"
     manifest["wall_time_s"] = time.perf_counter() - t0
     manifest["artifacts"] = list(artifacts)
-    _write_json(ctx.path("manifest.json"), manifest)
+    write_json(ctx.path("manifest.json"), manifest)
     return 0
 
 

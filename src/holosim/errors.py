@@ -1,9 +1,14 @@
-"""Exception types shared across the simulator.
+"""Exception types shared across the simulator, and the artifact writer.
 
 Every contract violation raises one of these rather than a bare ValueError,
 so callers (and the CLI) can tell configuration mistakes from numerical
-failures.
+failures. Every result file goes through ``write_text``, whose contract is
+"write the whole file, or raise IoError".
 """
+
+import contextlib
+import json
+import os
 
 
 class HolosimError(Exception):
@@ -87,3 +92,26 @@ class ConfigError(HolosimError):
 
 class IoError(HolosimError):
     """Filesystem problem while writing or reading run artifacts."""
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, or raise IoError naming it.
+
+    The text lands in ``<path>.tmp`` first and replaces ``path`` in one
+    rename, so a failed write leaves neither a half-written file nor the
+    temp file behind.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented, key-sorted JSON plus a trailing newline."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -6,9 +6,11 @@ duration/4096:
 * unitary: product of midpoint-rule exponentials, U = prod_k
   exp(-i H(t_k + dt/2) dt) ordered latest-left, with every step
   exponential done by a batched Hermitian eigendecomposition;
-* Lindblad: classic RK4 on d rho/dt = -i[H, rho] + sum_k D[L_k] rho,
-  or on the full channel superoperator when the whole linear map is
-  needed (tomography, benchmarking).
+* Lindblad: one classic RK4 core on dS/dt = L(t) S, where L(t) is the
+  Liouvillian -i[H(t), .] + sum_k D[L_k] acting on a (d^2, n) block of
+  vectorized states. The channel superoperator runs it on the identity
+  (n = d^2, tomography and benchmarking); a density-matrix trajectory runs
+  it on vec(rho0) (n = 1) and keeps every node.
 
 Schedules are integrated piecewise between segment boundaries so envelope
 kinks never fall inside a step; otherwise the integrator order degrades
@@ -23,6 +25,7 @@ a unitary U is kron(U, conj(U)).
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from dataclasses import dataclass
 
@@ -34,6 +37,7 @@ from .errors import (
     NonHermitianInputError,
     OutOfRangeError,
     StepTooLargeError,
+    write_text,
 )
 from .operators import dagger, expm_hermitian, is_hermitian
 from .pulses import GateSchedule
@@ -45,7 +49,6 @@ TRACE_TOL = 1e-6
 SPACES = {
     "qutrit": (model.qutrit_drive_hamiltonian, 3),
     "cavity_effective": (model.cavity_effective_hamiltonian, 3),
-    "two_qubit": (model.two_qubit_hamiltonian, 6),
     "cavity_full": (model.six_level_cavity_hamiltonian, 6),
 }
 
@@ -103,8 +106,7 @@ class Trajectory:
             row = [repr(float(t))] + [repr(float(p)) for p in pops[k]]
             row += [repr(float(abs(self.states[k][i, j]))) for i, j in pairs]
             lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def _eval_hamiltonian(h, times: np.ndarray, dim: int) -> np.ndarray:
@@ -157,40 +159,23 @@ def propagate_unitary(h, grid: TimeGrid, check: bool = True) -> np.ndarray:
     return u
 
 
-# ---- Lindblad right-hand side ----
+# ---- Lindblad integration ----
 
-class _Liouville:
-    """Precomputed pieces of the Liouvillian for fast repeated evaluation."""
-
-    def __init__(self, collapse_ops, dim: int):
-        self.dim = dim
-        self.ops = [np.asarray(c, dtype=complex) for c in collapse_ops]
-        for c in self.ops:
-            if c.shape != (dim, dim):
-                raise DimensionMismatchError(
-                    f"collapse operator shape {c.shape}, expected {(dim, dim)}"
-                )
-        self.anti = sum(
-            (dagger(c) @ c for c in self.ops), np.zeros((dim, dim), dtype=complex)
-        )
-
-    def apply(self, ht: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """d rho/dt for a single density matrix."""
-        out = -1j * (ht @ rho - rho @ ht)
-        out -= 0.5 * (self.anti @ rho + rho @ self.anti)
-        for c in self.ops:
-            out += c @ rho @ dagger(c)
-        return out
-
-    def dissipator_matrix(self) -> np.ndarray:
-        """Constant part of the superoperator (row-major vec)."""
-        d = self.dim
-        eye = np.eye(d)
-        sup = np.zeros((d * d, d * d), dtype=complex)
-        for c in self.ops:
-            sup += np.kron(c, c.conj())
-        sup -= 0.5 * (np.kron(self.anti, eye) + np.kron(eye, self.anti.T))
-        return sup
+def _dissipator(collapse_ops, dim: int) -> np.ndarray:
+    """Constant part of the Liouvillian superoperator (row-major vec)."""
+    ops = [np.asarray(c, dtype=complex) for c in collapse_ops]
+    for c in ops:
+        if c.shape != (dim, dim):
+            raise DimensionMismatchError(
+                f"collapse operator shape {c.shape}, expected {(dim, dim)}"
+            )
+    anti = sum((dagger(c) @ c for c in ops), np.zeros((dim, dim), dtype=complex))
+    eye = np.eye(dim)
+    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for c in ops:
+        sup += np.kron(c, c.conj())
+    sup -= 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+    return sup
 
 
 def _rk4_nodes(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -199,39 +184,58 @@ def _rk4_nodes(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mids
 
 
+def _rk4(h, collapse_ops, grid: TimeGrid, s: np.ndarray, keep: bool = False):
+    """Classic RK4 on dS/dt = L(t) S for a (d^2, n) block S of vec'd states.
+
+    Returns the final block, or with ``keep`` every node as (steps + 1,
+    d^2, n).
+    """
+    d2, n = s.shape
+    dim = math.isqrt(d2)
+    diss = _dissipator(collapse_ops, dim)
+    nodes, mids = _rk4_nodes(grid)
+    h_nodes = _eval_hamiltonian(h, nodes, dim)
+    h_mids = _eval_hamiltonian(h, mids, dim)
+    dt = grid.dt
+
+    def rhs(ht: np.ndarray, m: np.ndarray) -> np.ndarray:
+        x = m.reshape(dim, dim, n)
+        comm = np.einsum("ab,bcm->acm", ht, x) - np.einsum("abm,bc->acm", x, ht)
+        return (-1j) * comm.reshape(d2, n) + diss @ m
+
+    history = [s]
+    for k in range(grid.steps):
+        k1 = rhs(h_nodes[k], s)
+        k2 = rhs(h_mids[k], s + 0.5 * dt * k1)
+        k3 = rhs(h_mids[k], s + 0.5 * dt * k2)
+        k4 = rhs(h_nodes[k + 1], s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if keep:
+            history.append(s)
+    return np.stack(history) if keep else s
+
+
 def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Fixed-step RK4 integration of the Lindblad equation.
 
     Returns the full trajectory on the grid nodes. Raises StepTooLargeError
     if the trace drifts by more than 1e-6 anywhere along the way.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     dim = rho.shape[0]
     if rho.shape != (dim, dim):
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
-    liou = _Liouville(collapse_ops, dim)
-    nodes, mids = _rk4_nodes(grid)
-    h_nodes = _eval_hamiltonian(h, nodes, dim)
-    h_mids = _eval_hamiltonian(h, mids, dim)
-    dt = grid.dt
-    states = np.empty((grid.steps + 1, dim, dim), dtype=complex)
-    states[0] = rho
-    for k in range(grid.steps):
-        k1 = liou.apply(h_nodes[k], rho)
-        k2 = liou.apply(h_mids[k], rho + 0.5 * dt * k1)
-        k3 = liou.apply(h_mids[k], rho + 0.5 * dt * k2)
-        k4 = liou.apply(h_nodes[k + 1], rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = rho
+    vecs = _rk4(h, collapse_ops, grid, rho.reshape(dim * dim, 1), keep=True)
+    states = vecs.reshape(grid.steps + 1, dim, dim)
     traces = np.real(np.einsum("tii->t", states))
     drift = float(np.max(np.abs(traces - traces[0])))
     if drift > TRACE_TOL:
         raise StepTooLargeError(
             f"trace drifted by {drift:.2e} (> {TRACE_TOL}); refine the grid"
         )
-    return Trajectory(times=nodes, states=states)
+    return Trajectory(times=_rk4_nodes(grid)[0], states=states)
 
 
 def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
@@ -241,28 +245,8 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     superoperator gives exactly the same map as propagating every input
     state separately, at a fraction of the cost when the map is reused.
     """
-    dim = _probe_dim(h, grid.t0)
-    liou = _Liouville(collapse_ops, dim)
-    diss = liou.dissipator_matrix()
-    nodes, mids = _rk4_nodes(grid)
-    h_nodes = _eval_hamiltonian(h, nodes, dim)
-    h_mids = _eval_hamiltonian(h, mids, dim)
-    dt = grid.dt
-    d2 = dim * dim
-    s = np.eye(d2, dtype=complex)
-
-    def rhs(ht: np.ndarray, m: np.ndarray) -> np.ndarray:
-        x = m.reshape(dim, dim, d2)
-        comm = np.einsum("ab,bcm->acm", ht, x) - np.einsum("abm,bc->acm", x, ht)
-        return (-1j) * comm.reshape(d2, d2) + diss @ m
-
-    for k in range(grid.steps):
-        k1 = rhs(h_nodes[k], s)
-        k2 = rhs(h_mids[k], s + 0.5 * dt * k1)
-        k3 = rhs(h_mids[k], s + 0.5 * dt * k2)
-        k4 = rhs(h_nodes[k + 1], s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
+    d2 = _probe_dim(h, grid.t0) ** 2
+    return _rk4(h, collapse_ops, grid, np.eye(d2, dtype=complex))
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:
@@ -279,13 +263,13 @@ def apply_channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _piece_grids(schedule: GateSchedule, steps: int):
     """Split the schedule at segment boundaries, allocating the step budget
-    proportionally (>= 4 steps per piece)."""
+    proportionally (>= 10 steps per piece, the TimeGrid minimum)."""
     bounds = schedule.boundaries()
     pieces = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 1e-15:
             continue
-        n = max(4, int(round(steps * (b - a) / schedule.duration)))
+        n = max(10, int(round(steps * (b - a) / schedule.duration)))
         pieces.append((float(a), float(b), n))
     return pieces
 
@@ -304,6 +288,17 @@ def _key(*parts) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _cached(key: str, compute) -> np.ndarray:
+    """The cached value under ``key``, calling ``compute()`` on a miss."""
+    with _cache_lock:
+        if key in _cache:
+            return _cache[key]
+    value = compute()
+    with _cache_lock:
+        _cache[key] = value
+    return value
+
+
 def schedule_unitary(
     schedule: GateSchedule,
     err: model.ControlError = model.NO_ERROR,
@@ -312,18 +307,15 @@ def schedule_unitary(
 ) -> np.ndarray:
     """Noiseless propagator of a whole schedule (cached)."""
     builder, dim = SPACES[space]
-    key = _key("unitary", space, schedule, err, steps)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    u = np.eye(dim, dtype=complex)
-    for a, b, n in _piece_grids(schedule, steps):
-        grid = TimeGrid(a, b, max(n, 10))
-        piece = propagate_unitary(lambda t: builder(schedule, err, t), grid)
-        u = piece @ u
-    with _cache_lock:
-        _cache[key] = u
-    return u
+
+    def compute():
+        u = np.eye(dim, dtype=complex)
+        for a, b, n in _piece_grids(schedule, steps):
+            grid = TimeGrid(a, b, n)
+            u = propagate_unitary(lambda t: builder(schedule, err, t), grid) @ u
+        return u
+
+    return _cached(_key("unitary", space, schedule, err, steps), compute)
 
 
 def schedule_channel(
@@ -345,40 +337,16 @@ def schedule_channel(
     )
     if trivial:
         return unitary_superoperator(schedule_unitary(schedule, err, steps, space))
-    key = _key("channel", space, schedule, err, noise, cavity_noise, steps)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    if dim == 3:
-        collapse = model.collapse_operators(noise)
-    else:
-        collapse = model.six_level_collapse_operators(noise, cavity_noise)
-    s = np.eye(dim * dim, dtype=complex)
-    for a, b, n in _piece_grids(schedule, steps):
-        grid = TimeGrid(a, b, max(n, 10))
-        piece = channel_superoperator(lambda t: builder(schedule, err, t), collapse, grid)
-        s = piece @ s
-    with _cache_lock:
-        _cache[key] = s
-    return s
 
+    def compute():
+        if dim == 3:
+            collapse = model.collapse_operators(noise)
+        else:
+            collapse = model.six_level_collapse_operators(noise, cavity_noise)
+        s = np.eye(dim * dim, dtype=complex)
+        for a, b, n in _piece_grids(schedule, steps):
+            grid = TimeGrid(a, b, n)
+            s = channel_superoperator(lambda t: builder(schedule, err, t), collapse, grid) @ s
+        return s
 
-def process_map(
-    schedule: GateSchedule,
-    noise: model.NoiseModel,
-    states,
-    err: model.ControlError = model.NO_ERROR,
-    steps: int = DEFAULT_STEPS,
-    space: str = "qutrit",
-) -> list[np.ndarray]:
-    """Evolve a list of kets or density matrices through one gate schedule."""
-    _, dim = SPACES[space]
-    sup = schedule_channel(schedule, noise, err, steps, space)
-    out = []
-    for st in states:
-        st = np.asarray(st, dtype=complex)
-        rho = np.outer(st, st.conj()) if st.ndim == 1 else st
-        if rho.shape != (dim, dim):
-            raise DimensionMismatchError(f"state shape {rho.shape} in {dim}-dim space")
-        out.append(apply_channel(sup, rho))
-    return out
+    return _cached(_key("channel", space, schedule, err, noise, cavity_noise, steps), compute)

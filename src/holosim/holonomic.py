@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, ZeroCouplingError
-from .operators import gf_block, phase_aligned_distance
+from .operators import gf_block, phase_aligned_distance, unitary_infidelity
 from .pulses import (
     DEFAULT_HALF_SIGMA,
     DEFAULT_RAMP,
@@ -107,15 +107,6 @@ def target_u2(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def target_u3(params: HolonomicParams) -> np.ndarray:
-    """Photon-number-controlled gate on {|0g>, |0f>, |1g>, |1f>}:
-    block-diag(target_u1, I). The realized n = 0 block carries the extra
-    controlled phase e^{i gamma/2} (see loop_unitary)."""
-    out = np.eye(4, dtype=complex)
-    out[:2, :2] = target_u1(params)
-    return out
-
-
 def loop_unitary(params: HolonomicParams) -> np.ndarray:
     """Exact three-level unitary of one ideal loop, including the auxiliary
     phase: |d><d| + e^{i gamma}|b><b| + e^{-i gamma}|e><e|."""
@@ -138,9 +129,7 @@ def synthesis_infidelity(u_sim: np.ndarray, params: HolonomicParams) -> float:
     unitary); the auxiliary-level phase e^{-i gamma} does not, since the
     gate's target only constrains the qubit.
     """
-    block = gf_block(u_sim)
-    overlap = abs(np.trace(target_u1(params).conj().T @ block)) ** 2 / 4.0
-    return float(1.0 - overlap)
+    return unitary_infidelity(gf_block(u_sim), target_u1(params))
 
 
 # Effective cavity basis is ordered {|0g>, |1g>, |0f>}: the logical pair sits
@@ -167,10 +156,9 @@ def cavity_synthesis_infidelity(
     u_sim: np.ndarray, theta: float, gamma: float, phi: float = 0.0
 ) -> float:
     """Logical-block process infidelity for an effective-basis propagator."""
-    block = cavity_block(u_sim)
-    target = target_u1(HolonomicParams(theta, gamma, phi))
-    overlap = abs(np.trace(target.conj().T @ block)) ** 2 / 4.0
-    return float(1.0 - overlap)
+    return unitary_infidelity(
+        cavity_block(u_sim), target_u1(HolonomicParams(theta, gamma, phi))
+    )
 
 
 # ---- schedule synthesis ----

@@ -233,20 +233,6 @@ def cavity_effective_hamiltonian(segments, err: ControlError = NO_ERROR, t=0.0) 
     )
 
 
-def two_qubit_hamiltonian(segments, err: ControlError = NO_ERROR, t=0.0) -> np.ndarray:
-    """Photon-number-conditioned qutrit drive on {|0g>..|1f>} (cavity-major).
-
-    The drive acts on the n = 0 block only (a controlled holonomic gate);
-    the n = 1 block idles. Detuning shifts the transmon levels in both
-    blocks.
-    """
-    return _assemble(
-        segments, err, t, 6,
-        {"ge": (0, 1), "ef": (2, 1)},
-        (0.0, 1.0, 2.0, 0.0, 1.0, 2.0),
-    )
-
-
 def six_level_cavity_hamiltonian(segments, err: ControlError = NO_ERROR, t=0.0) -> np.ndarray:
     """Encode/gate/decode drives on the full {|0g>..|1f>} space.
 

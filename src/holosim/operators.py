@@ -45,14 +45,6 @@ def basis_ket(i: int, dim: int = DIM) -> np.ndarray:
     return v
 
 
-def normalized(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise DimensionMismatchError("cannot normalize the zero vector")
-    return v / n
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2))
 
@@ -72,14 +64,6 @@ def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
         return False
     eye = np.eye(a.shape[-1])
     return bool(np.all(np.abs(dagger(a) @ a - eye) <= tol))
-
-
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        dev = float(np.max(np.abs(a - dagger(a))))
-        raise NonHermitianInputError(f"{what} deviates from Hermiticity by {dev:.3e}")
-    return a
 
 
 def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:

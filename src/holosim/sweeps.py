@@ -36,7 +36,7 @@ import numpy as np
 from . import evolution as ev
 from . import model as md
 from . import tomography as tm
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, write_json, write_text
 from .holonomic import (
     QUBIT_GATES,
     dynamic_hadamard_schedule,
@@ -47,7 +47,7 @@ from .holonomic import (
     target_u1,
     target_u2,
 )
-from .operators import embed_gf, process_basis_gf, qubit_pauli_basis
+from .operators import process_basis_gf, qubit_pauli_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,10 +99,8 @@ def reduced_process_fidelity(u_sim: np.ndarray, target: np.ndarray) -> float:
     normalized overlap, so uniform leakage does not register while any
     distortion of the block does.
     """
-    basis = process_basis_gf()
-    chi_r = tm.reduce_chi(tm.chi_of_unitary(u_sim, basis))
-    chi_t = tm.reduce_chi(tm.chi_of_unitary(embed_gf(target), basis))
-    return tm.fidelity_unatt(chi_r, chi_t)
+    chi_r = tm.reduce_chi(tm.chi_of_unitary(u_sim))
+    return tm.fidelity_unatt(chi_r, tm.reduced_target_chi(target))
 
 
 def _coerce_grid(values, name: str) -> np.ndarray:
@@ -159,8 +157,7 @@ class CrosstalkGrid:
         lines = [header]
         for e, row in zip(self.epsilons, self.fidelities):
             lines.append(f"{float(e)!r}," + ",".join(f"{float(v)!r}" for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
     def to_json(self, path) -> None:
         """Sidecar with the settings, their hash, and summary statistics."""
@@ -168,9 +165,7 @@ class CrosstalkGrid:
         payload["settings_sha256"] = self.settings_hash()
         payload["mean_fidelity"] = self.mean_fidelity
         payload["min_fidelity"] = float(np.min(self.fidelities))
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def crosstalk_sweep(
@@ -197,7 +192,7 @@ def crosstalk_sweep(
         raise OutOfRangeError(f"threads must be >= 1, got {threads}")
     schedule, target = reference_gate(family, gate)
     basis = process_basis_gf()
-    chi_t = tm.reduce_chi(tm.chi_of_unitary(embed_gf(target), basis))
+    chi_t = tm.reduced_target_chi(target)
 
     def cell(e: float, d: float) -> float:
         err = md.ControlError(epsilon=float(e), detuning=float(d))
@@ -296,7 +291,7 @@ class CavityPipelineResult:
 
     def to_json(self, path) -> None:
         entries = np.asarray(self.chi.entries)
-        payload = {
+        write_json(path, {
             "gate": self.gate_label,
             "fidelity_att": self.fidelity_att,
             "fidelity_unatt": self.fidelity_unatt,
@@ -305,10 +300,7 @@ class CavityPipelineResult:
             "chi_real": entries.real.tolist(),
             "chi_imag": entries.imag.tolist(),
             "chi_labels": list(self.chi.basis.labels),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def cavity_pipeline(
@@ -317,18 +309,18 @@ def cavity_pipeline(
     device: md.DeviceTable | None = None,
     g_total: float | None = None,
     steps: int = PIPELINE_STEPS,
-    frame_phase: float | None = None,
 ) -> CavityPipelineResult:
     """Encode/gate/decode run on the six-level space with qubit QPT.
 
     ``gate`` is (theta, phi) of the gamma = pi loop; None skips the gate leg
     and scores the bare encode-decode round trip against the identity. When
     ``g_total`` is omitted it is chosen so the two-photon tone sits at the
-    device's calibrated amplitude: g_total = g1 / sin(theta / 2).
+    device's calibrated amplitude: g_total = g1 / sin(theta / 2). Every run
+    calibrates its decode-frame phase with calibrate_frame_phase at the same
+    step budget.
     """
     device = device or md.paper_device()
-    if frame_phase is None:
-        frame_phase = calibrate_frame_phase(device, steps)
+    frame_phase = calibrate_frame_phase(device, steps)
     qn_swap = device.q2_noise if include_decoherence else md.NO_NOISE
     qn_gate = device.q1_noise if include_decoherence else md.NO_NOISE
     cn = device.cavity_noise if include_decoherence else md.NO_CAVITY_NOISE

@@ -26,6 +26,8 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     SingularInputSpanError,
+    write_json,
+    write_text,
 )
 from .evolution import DEFAULT_STEPS, apply_channel, schedule_channel
 from .model import NO_ERROR, NO_NOISE, ControlError, NoiseModel
@@ -34,6 +36,7 @@ from .operators import (
     basis_ket,
     dagger,
     decompose,
+    embed_gf,
     expm_hermitian,
     gellmann_basis,
     ketbra,
@@ -159,16 +162,13 @@ class TomographyRecord:
             )
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "input_labels": list(self.input_labels),
             "prerotation_labels": list(self.prerotation_labels),
             "values": self.values.tolist(),
             "shots": self.shots,
             "seed": self.seed,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     @classmethod
     def from_json(cls, path) -> "TomographyRecord":
@@ -190,7 +190,6 @@ def expectation(rho: np.ndarray, prerotation: np.ndarray, m_i: np.ndarray) -> fl
 
 def simulate_record(
     outputs,
-    mm: MeasurementModel | None = None,
     shots: int | None = None,
     seed: int = 0,
 ) -> TomographyRecord:
@@ -202,9 +201,7 @@ def simulate_record(
     """
     if shots is not None and shots <= 0:
         raise BadShotCountError(f"shots must be positive, got {shots}")
-    if mm is None:
-        mm = measurement_coefficients()
-    m_i = mm.operator()
+    m_i = measurement_coefficients().operator()
     rotations = prerotations()
     values = np.empty((len(outputs), len(rotations)))
     for k, rho in enumerate(outputs):
@@ -259,35 +256,30 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def linear_state(row: np.ndarray, mm: MeasurementModel | None = None) -> np.ndarray:
+def _effective_operators() -> np.ndarray:
+    """U_k^dag M_I U_k for the nine pre-rotations: <M>_k = Tr(rho E_k)."""
+    m_i = measurement_coefficients().operator()
+    return np.stack([dagger(u) @ m_i @ u for u in prerotations()])
+
+
+def linear_state(row: np.ndarray) -> np.ndarray:
     """Direct linear inversion of one record row (may not be PSD)."""
-    if mm is None:
-        mm = measurement_coefficients()
-    m_i = mm.operator()
-    rotations = prerotations()
-    a = np.stack([dagger(u) @ m_i @ u for u in rotations]).reshape(9, 9)
+    a = _effective_operators().reshape(9, 9)
     rho = np.linalg.solve(a.conj(), np.asarray(row, dtype=complex)).reshape(3, 3)
     return (rho + dagger(rho)) / 2.0
 
 
-def mle_density(
-    row: np.ndarray,
-    mm: MeasurementModel | None = None,
-    max_iterations: int = 2000,
-) -> np.ndarray:
+def mle_density(row: np.ndarray, max_iterations: int = 2000) -> np.ndarray:
     """Maximum-likelihood density matrix from one record row.
 
     Least squares over the nine Cholesky parameters, started from the
     PSD-projected linear inversion. Physicality (PSD, trace one) holds by
     construction; ConvergenceFailure carries the best iterate.
     """
-    if mm is None:
-        mm = measurement_coefficients()
-    m_i = mm.operator()
-    effective = np.stack([dagger(u) @ m_i @ u for u in prerotations()])
+    effective = _effective_operators()
     row = np.asarray(row, dtype=float)
 
-    guess = linear_state(row, mm)
+    guess = linear_state(row)
     vals, vecs = np.linalg.eigh(guess)
     vals = np.clip(vals, 1e-10, None)
     guess = (vecs * vals) @ dagger(vecs)
@@ -356,8 +348,7 @@ class ChiMatrix:
                     f"{m},{n},{self.basis.labels[m]},{self.basis.labels[n]},"
                     f"{float(v.real)!r},{float(v.imag)!r}"
                 )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def _psd_project(chi: np.ndarray) -> np.ndarray:
@@ -441,6 +432,11 @@ def reduce_chi(full: ChiMatrix) -> ChiMatrix:
     return ChiMatrix(entries=block, basis=sub, residual=full.residual)
 
 
+def reduced_target_chi(target: np.ndarray) -> ChiMatrix:
+    """Reduced chi of an ideal 2x2 gate embedded on the (g, f) block."""
+    return reduce_chi(chi_of_unitary(embed_gf(target)))
+
+
 def _unwrap(chi) -> np.ndarray:
     return np.asarray(getattr(chi, "entries", chi), dtype=complex)
 
@@ -481,37 +477,20 @@ def simulate_qpt(
     steps: int = DEFAULT_STEPS,
     mle: bool | None = None,
     project: bool | None = None,
-    pulsed_prerotations=None,
 ) -> QptResult:
     """Full QPT of one gate schedule.
 
+    The record measures behind the nine ideal, instantaneous pre-rotations.
     mle=None reconstructs outputs by MLE only when the record is sampled;
     exact records invert linearly (identical result, much cheaper).
     project=None projects the extracted chi onto the PSD cone only for
     sampled records, where inversion noise can leave small negative modes.
-    ``pulsed_prerotations`` optionally maps each ideal pre-rotation to a
-    channel superoperator (index -> matrix), replacing the instantaneous
-    unitaries when building the record.
     """
     sup = schedule_channel(schedule, noise=noise, err=err, steps=steps)
     kets = initial_states()
     rhos_in = [np.outer(k, k.conj()) for k in kets]
     rhos_out = [apply_channel(sup, r) for r in rhos_in]
-    if pulsed_prerotations is None:
-        record = simulate_record(rhos_out, shots=shots, seed=seed)
-    else:
-        mm = measurement_coefficients()
-        m_i = mm.operator()
-        values = np.empty((9, 9))
-        for k, rho in enumerate(rhos_out):
-            for m in range(9):
-                rotated = apply_channel(pulsed_prerotations[m], rho)
-                values[k, m] = float(np.real(np.trace(rotated @ m_i)))
-        record = TomographyRecord(values=values, shots=None)
-        if shots is not None:
-            raise BadShotCountError(
-                "sampled records with pulsed pre-rotations are not supported"
-            )
+    record = simulate_record(rhos_out, shots=shots, seed=seed)
     if mle is None:
         mle = shots is not None
     if project is None:

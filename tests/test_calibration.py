@@ -20,6 +20,7 @@ from holosim import pulses as pl
 from holosim.errors import (
     DimensionMismatchError,
     FitDivergenceError,
+    IoError,
     OutOfRangeError,
 )
 from holosim.evolution import TimeGrid, propagate_lindblad
@@ -68,6 +69,25 @@ class TestTrace:
             cal.Trace(np.linspace(0, 1, 9), np.zeros(8))
         with pytest.raises(DimensionMismatchError):
             cal.Trace(np.zeros((4, 2)), np.zeros((4, 2)))
+
+    def test_rejects_non_finite_samples(self):
+        t = np.linspace(0.0, 1.0, 8)
+        values = np.zeros(8)
+        values[3] = np.nan
+        with pytest.raises(OutOfRangeError):
+            cal.Trace(t, values)
+        t[-1] = np.inf
+        with pytest.raises(OutOfRangeError):
+            cal.Trace(t, np.zeros(8))
+
+    def test_csv_non_numeric_cell_is_io_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        cal.Trace(np.linspace(0.0, 1e-6, 10), np.linspace(0.0, 1.0, 10)).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IoError, match="bad.csv"):
+            cal.Trace.from_csv(path)
 
     def test_span(self):
         tr = cal.Trace(np.linspace(2.0, 7.0, 11), np.zeros(11))

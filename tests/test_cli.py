@@ -522,6 +522,41 @@ class TestCalibrateCommand:
         with pytest.raises(IoError):
             cli.run("calibrate", str(path), str(tmp_path / "out"))
 
+    @pytest.mark.parametrize("bad_row", ["abc,1.0", "2.5"])
+    def test_chevron_non_numeric_cell_exits_two(self, tmp_path, capsys, bad_row):
+        lines = ["offset_rad_s,omega_r_rad_s", "-1.0,2.0", bad_row, "1.0,2.0"]
+        (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+        cfg = {
+            "schema_version": 1,
+            "calibrate": {"kind": "chevron", "points": "points.csv"},
+        }
+        path = write_config(tmp_path, cfg)
+        code = cli.main(
+            ["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("holosim: error:")
+        assert "points.csv line 3" in err
+
+    def test_unwritable_artifact_exits_two_without_temp_file(self, tmp_path, capsys):
+        times = np.linspace(0.0, 2.0e-6, 160)
+        values = 0.5 - 0.5 * np.cos(TWO_PI * 2.2e6 * times)
+        Trace(times, values).to_csv(tmp_path / "rabi.csv")
+        cfg = {"schema_version": 1, "calibrate": {"kind": "rabi", "trace": "rabi.csv"}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        (out / "fit.json").mkdir(parents=True)
+        code = cli.main(["calibrate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("holosim: error: cannot write")
+        assert "fit.json" in err and "Traceback" not in err
+        assert (out / "fit.json").is_dir()
+        assert list(out.glob("*.tmp")) == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+
     def test_unknown_kind(self, tmp_path):
         cfg = {"schema_version": 1, "calibrate": {"kind": "spectroscopy"}}
         path = write_config(tmp_path, cfg)

@@ -222,14 +222,6 @@ class TestScheduleDrivers:
         u = ev.schedule_unitary(sched)
         assert np.allclose(sup, ev.unitary_superoperator(u))
 
-    def test_process_map_kets_and_rhos(self):
-        sched = drive_schedule()
-        g = np.array([1.0, 0.0, 0.0], dtype=complex)
-        rho_g = np.outer(g, g.conj())
-        out_ket, out_rho = ev.process_map(sched, md.NO_NOISE, [g, rho_g])
-        assert np.allclose(out_ket, out_rho, atol=1e-12)
-        assert np.isclose(np.trace(out_ket).real, 1.0, atol=1e-9)
-
     def test_piecewise_matches_single_grid(self):
         # one smooth segment: splitting at boundaries must agree with a
         # single grid of the same density

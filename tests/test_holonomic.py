@@ -94,14 +94,6 @@ class TestTargets:
         h = (PAULI["x"] + PAULI["z"]) / math.sqrt(2)
         assert np.allclose(hl.target_u2(math.pi / 4, 0.0), h)
 
-    def test_u3_block_structure(self):
-        p = hl.HolonomicParams(0.6, 1.1, -0.4)
-        u3 = hl.target_u3(p)
-        assert u3.shape == (4, 4)
-        assert np.allclose(u3[:2, :2], hl.target_u1(p))
-        assert np.allclose(u3[2:, 2:], np.eye(2))
-        assert np.count_nonzero(u3[:2, 2:]) == 0
-
 
 class TestLoopUnitary:
     def test_spectral_action(self):

@@ -144,13 +144,6 @@ class TestOtherSpaces:
         )
         assert h[2, 2] == pytest.approx(2e6) and h[1, 1] == 0.0
 
-    def test_two_qubit_space_acts_on_vacuum_block(self):
-        h = md.two_qubit_hamiltonian([segment("ge", 0.1, 1e6)], t=10e-9)
-        assert h.shape == (6, 6)
-        assert abs(h[0, 1]) > 0
-        # photon-1 block (indices 3..5) must be untouched by qutrit drives
-        assert np.all(h[3:, 3:] == 0)
-
     def test_six_level_couplings(self):
         h = md.six_level_cavity_hamiltonian([segment("two_photon", 0.0, 1e5)], t=10e-9)
         assert abs(h[0, 2]) > 0

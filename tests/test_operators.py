@@ -11,7 +11,6 @@ import pytest
 from holosim import operators as op
 from holosim.errors import (
     DimensionMismatchError,
-    NonHermitianInputError,
     NonUnitaryInputError,
 )
 
@@ -36,10 +35,6 @@ class TestBasics:
         v = op.basis_ket(1)
         assert v[1] == 1.0 and np.count_nonzero(v) == 1
 
-    def test_normalized(self):
-        v = op.normalized([3.0, 4.0])
-        assert np.isclose(np.linalg.norm(v), 1.0)
-
     def test_dagger(self):
         a = np.array([[1.0, 2j], [0.0, 1.0]])
         assert np.allclose(op.dagger(a), a.conj().T)
@@ -52,8 +47,6 @@ class TestBasics:
         assert op.is_unitary(u)
         assert not op.is_hermitian(u + np.diag([0, 1j, 0]))
         assert not op.is_unitary(h + np.eye(3) * 5)
-        with pytest.raises(NonHermitianInputError):
-            op.require_hermitian(1j * np.eye(3) + h)
         with pytest.raises(NonUnitaryInputError):
             op.require_unitary(2.0 * u)
 

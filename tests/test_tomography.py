@@ -472,13 +472,3 @@ class TestEndToEnd:
         assert result.record.seed == 5
         counts = result.record.values * 200
         assert np.max(np.abs(counts - np.round(counts))) < 1e-9
-
-    def test_pulsed_prerotations_refuse_sampling(self):
-        schedule = hl.synthesize_qubit_gate(hl.QUBIT_GATES["X_pi"])
-        ident = ev.unitary_superoperator(np.eye(3, dtype=complex))
-        with pytest.raises(BadShotCountError):
-            tg.simulate_qpt(
-                schedule,
-                shots=100,
-                pulsed_prerotations={m: ident for m in range(9)},
-            )
