@@ -9,6 +9,12 @@ gate under test after every Clifford. Survival decays as F = A p^m + B, and
     F_gate = 1 - (1 - p_gate / p_ref) / 2
 
 turn the decay constants into per-Clifford and per-gate fidelities.
+
+Sequence bookkeeping runs on the integer Clifford group
+(holonomic.clifford_group): a string is composed through the Cayley table
+and its recovery is read from the inverse table, with no 2x2 algebra. The
+survivals of all k sequences of one length are computed together, one
+string position at a time, on the stacked channels of the drawn elements.
 """
 
 from __future__ import annotations
@@ -29,14 +35,36 @@ from .evolution import DEFAULT_STEPS, schedule_channel
 from .holonomic import (
     QUBIT_GATES,
     HolonomicParams,
-    clifford_table,
+    clifford_group,
     find_recovery,
     synthesize_qubit_gate,
     target_u1,
 )
 from .model import NO_ERROR, NO_NOISE, ControlError, NoiseModel
+from .operators import dagger
 
 DEFAULT_LENGTHS = tuple(range(1, 21))
+
+
+def _group_index(params: HolonomicParams) -> int:
+    """Clifford-table index of target_u1(params) up to phase; raises
+    OutOfRangeError for a gate outside the group."""
+    return find_recovery(dagger(target_u1(params)))
+
+
+def _clifford_gate_names() -> tuple[str, ...]:
+    names = []
+    for name, params in QUBIT_GATES.items():
+        try:
+            _group_index(params)
+        except OutOfRangeError:
+            continue
+        names.append(name)
+    return tuple(sorted(names))
+
+
+#: the named qubit gates that are Clifford elements: the valid interleaved gates
+CLIFFORD_GATES = _clifford_gate_names()
 
 
 @dataclass(frozen=True)
@@ -59,10 +87,10 @@ class RbConfig:
             raise OutOfRangeError(f"all sequence lengths must be >= 1: {self.lengths}")
         if self.k < 1:
             raise OutOfRangeError(f"k must be >= 1, got {self.k}")
-        if self.interleaved is not None and self.interleaved not in QUBIT_GATES:
+        if self.interleaved is not None and self.interleaved not in CLIFFORD_GATES:
             raise OutOfRangeError(
-                f"unknown interleaved gate {self.interleaved!r}; "
-                f"choose from {sorted(QUBIT_GATES)}"
+                f"interleaved gate {self.interleaved!r} is not a named Clifford gate; "
+                f"choose from {list(CLIFFORD_GATES)}"
             )
 
 
@@ -131,34 +159,55 @@ def random_sequence(
 ):
     """m uniform Clifford draws plus the recovery element closing the string.
 
-    With ``interleave`` set, the recovery inverts the string with the extra
-    gate inserted after every Clifford (the returned list still holds only
-    the random draws). The recovery is exact: the table is a group.
+    With ``interleave`` (any Clifford) set, the recovery inverts the string
+    with the extra gate inserted after every Clifford (the returned list
+    still holds only the random draws). The string is composed through the
+    Clifford group's Cayley table and the recovery read from its inverse
+    table, so it is exact; ``table`` must be clifford_table(), whose indices
+    those tables use.
     """
     if m < 1:
         raise OutOfRangeError(f"sequence length must be >= 1, got {m}")
+    group = clifford_group()
     if table is None:
-        table = clifford_table()
+        table = group.elements
+    elif table is not group.elements and tuple(table) != group.elements:
+        raise OutOfRangeError(
+            "table must be clifford_table(): recoveries come from its group tables"
+        )
     rng = np.random.default_rng(seed)
-    draws = [table[int(i)] for i in rng.integers(0, len(table), size=m)]
-    product = np.eye(2, dtype=complex)
-    for params in draws:
-        product = target_u1(params) @ product
-        if interleave is not None:
-            product = target_u1(interleave) @ product
-    recovery = table[find_recovery(product, table)]
-    return draws, recovery
+    indices = rng.integers(0, len(table), size=m).tolist()
+    gate = None
+    if interleave is not None:
+        gate = group.positions.get(interleave)
+        if gate is None:
+            gate = _group_index(interleave)
+    product = group.identity
+    for i in indices:
+        product = group.cayley[i, product]
+        if gate is not None:
+            product = group.cayley[gate, product]
+    return [table[i] for i in indices], table[group.inverse[product]]
 
 
-def survival_probability(superops, rho0: np.ndarray | None = None) -> float:
-    """Ground-state population after applying the superoperators in order."""
+def survival_probability(superops, rho0: np.ndarray | None = None) -> float | np.ndarray:
+    """Ground-state population after applying the superoperators in order.
+
+    Each superoperator is one (d^2, d^2) map or a (k, d^2, d^2) stack holding
+    one map per sequence. With any stack the k sequences run together and
+    the result is an array of k survivals, otherwise a float. np.matmul
+    applies a stack with the same arithmetic as one ``sup @ v`` per
+    sequence, so a batched survival equals its single-sequence value bit for
+    bit.
+    """
     if rho0 is None:
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
-    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    v = np.asarray(rho0, dtype=complex).reshape(-1, 1)
     for sup in superops:
-        v = sup @ v
-    return float(v[0].real)
+        v = np.matmul(sup, v)
+    ground = v[..., 0, 0].real
+    return float(ground) if ground.ndim == 0 else ground
 
 
 def _gate_channel(cfg: RbConfig, params: HolonomicParams) -> np.ndarray:
@@ -167,20 +216,25 @@ def _gate_channel(cfg: RbConfig, params: HolonomicParams) -> np.ndarray:
     )
 
 
-def _collect(cfg: RbConfig, table, channels, stream: int, interleave, gate_channel):
+def _survivals(cfg: RbConfig, stack, stream: int, interleave, gate_channel) -> np.ndarray:
+    """(n_lengths, k) survivals; the k sequences of one length run as a batch
+    on ``stack``, the channels of the Clifford table in table order."""
+    positions = clifford_group().positions
     survivals = np.empty((len(cfg.lengths), cfg.k))
     for mi, m in enumerate(cfg.lengths):
+        strings = np.empty((cfg.k, m + 1), dtype=int)  # m draws, then the recovery
         for j in range(cfg.k):
             draws, recovery = random_sequence(
-                m, [cfg.seed, stream, m, j], table, interleave=interleave
+                m, [cfg.seed, stream, m, j], interleave=interleave
             )
-            ops = []
-            for params in draws:
-                ops.append(channels[params])
-                if gate_channel is not None:
-                    ops.append(gate_channel)
-            ops.append(channels[recovery])
-            survivals[mi, j] = survival_probability(ops)
+            strings[j] = [positions[p] for p in draws] + [positions[recovery]]
+        ops = []
+        for column in strings[:, :-1].T:
+            ops.append(stack[column])
+            if gate_channel is not None:
+                ops.append(gate_channel)
+        ops.append(stack[strings[:, -1]])
+        survivals[mi] = survival_probability(ops)
     return survivals
 
 
@@ -191,8 +245,8 @@ def run_rb(cfg: RbConfig) -> RbRun:
     results are bit-identical for identical configs regardless of evaluation
     order; the interleaved experiment uses fresh sequences (stream 1).
     """
-    table = clifford_table()
-    channels = {params: _gate_channel(cfg, params) for params in dict.fromkeys(table)}
+    table = clifford_group().elements
+    stack = np.stack([_gate_channel(cfg, params) for params in table])
 
     def record(survivals):
         means = survivals.mean(axis=1)
@@ -206,15 +260,17 @@ def run_rb(cfg: RbConfig) -> RbRun:
             survivals=survivals,
         )
 
-    reference = record(_collect(cfg, table, channels, 0, None, None))
+    reference = record(_survivals(cfg, stack, 0, None, None))
     if cfg.interleaved is None:
         return RbRun(reference=reference)
 
     gate_params = QUBIT_GATES[cfg.interleaved]
-    gate_channel = channels.get(gate_params)
-    if gate_channel is None:
+    gate_index = _group_index(gate_params)
+    if table[gate_index] == gate_params:
+        gate_channel = stack[gate_index]
+    else:  # the same Clifford up to phase, realized by another loop
         gate_channel = _gate_channel(cfg, gate_params)
-    interleaved = record(_collect(cfg, table, channels, 1, gate_params, gate_channel))
+    interleaved = record(_survivals(cfg, stack, 1, table[gate_index], gate_channel))
     return RbRun(
         reference=reference,
         interleaved=interleaved,

@@ -360,9 +360,10 @@ def _run_rb(cfg, ctx: RunContext):
     if k < 1:
         raise ConfigError(f"must be >= 1, got {k}", "rb.k")
     interleaved = _field(block, "interleaved", "rb", "str", default=None, allow_none=True)
-    if interleaved is not None and interleaved not in QUBIT_GATES:
+    if interleaved is not None and interleaved not in bm.CLIFFORD_GATES:
         raise ConfigError(
-            f"unknown gate {interleaved!r} (valid: {', '.join(sorted(QUBIT_GATES))})",
+            f"{interleaved!r} is not a Clifford gate "
+            f"(valid: {', '.join(bm.CLIFFORD_GATES)})",
             "rb.interleaved",
         )
     steps = _parse_steps(block, "rb", RB_STEPS)

@@ -16,7 +16,8 @@ Schedules are integrated piecewise between segment boundaries so envelope
 kinks never fall inside a step; otherwise the integrator order degrades
 silently. Channels and unitaries are cached by a content hash of
 (builder, schedule, error, noise, step budget), which is what makes
-hundred-sequence benchmarking runs cheap.
+hundred-sequence benchmarking runs cheap; the cache is a bounded LRU and
+hands out read-only arrays.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,7 +276,11 @@ def _piece_grids(schedule: GateSchedule, steps: int):
     return pieces
 
 
-_cache: dict[str, np.ndarray] = {}
+#: cached arrays kept, least recently used evicted first; one interleaved RB
+#: run holds 25 channels (24 Cliffords and a gate outside the table)
+CACHE_SIZE = 64
+
+_cache: OrderedDict[str, np.ndarray] = OrderedDict()
 _cache_lock = threading.Lock()
 
 
@@ -289,13 +295,21 @@ def _key(*parts) -> str:
 
 
 def _cached(key: str, compute) -> np.ndarray:
-    """The cached value under ``key``, calling ``compute()`` on a miss."""
+    """The cached value under ``key``, calling ``compute()`` on a miss.
+
+    Cached arrays are shared by every caller, so they are stored read-only;
+    beyond CACHE_SIZE entries the least recently used one is dropped.
+    """
     with _cache_lock:
         if key in _cache:
+            _cache.move_to_end(key)
             return _cache[key]
     value = compute()
+    value.setflags(write=False)
     with _cache_lock:
         _cache[key] = value
+        while len(_cache) > CACHE_SIZE:
+            _cache.popitem(last=False)
     return value
 
 

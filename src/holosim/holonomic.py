@@ -1,4 +1,4 @@
-"""Single-loop holonomic gate targets, schedules, and the Clifford table.
+"""Single-loop holonomic gate targets, schedules, and the Clifford group tables.
 
 A gate is parameterized by (theta, gamma, phi): theta and phi set the
 bright/dark decomposition of the (g, f) qubit and gamma is the geometric
@@ -18,13 +18,20 @@ Cavity (Fock 0/1) gates reuse the same loop on the effective basis
 {|0g>, |1g>, |0f>} with the two-photon and raman couplings standing in for
 the ge / ef tones; gamma = pi needs no mid-loop phase switch, so those
 gates are a single flat-top pulse.
+
+The 24 single-qubit Cliffords are listed once as loop parameters
+(clifford_table) and, for sequence bookkeeping, as an integer group
+(clifford_group): a Cayley table and an inverse table over the same
+indices, built once per process and checked for closure as they are built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -327,7 +334,7 @@ def dynamic_t_schedule(
     return GateSchedule(segs, 4.0 * t_p, "dynamic-t")
 
 
-# ---- Clifford table ----
+# ---- Clifford group tables ----
 
 def _axis_angle_entries():
     x, y, z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
@@ -398,3 +405,50 @@ def find_recovery(product: np.ndarray, table=None, tol: float = 1e-8) -> int:
         if phase_aligned_distance(target_u1(params) @ product, eye) < tol:
             return r
     raise OutOfRangeError("no recovery Clifford found; product left the group")
+
+
+@dataclass(frozen=True, eq=False)
+class CliffordGroup:
+    """clifford_table() as an integer group; U_a is target_u1(elements[a]).
+
+    ``cayley[a, b]`` indexes U_a U_b and ``inverse[a]`` indexes U_a^dag,
+    both up to global phase; ``identity`` indexes U = 1 and ``positions``
+    maps each element back to its index.
+    """
+
+    elements: tuple[HolonomicParams, ...]
+    cayley: np.ndarray  # (24, 24) int
+    inverse: np.ndarray  # (24,) int
+    identity: int
+    positions: MappingProxyType
+
+
+@functools.cache
+def clifford_group() -> CliffordGroup:
+    """The Clifford group tables, built once per process from clifford_table().
+
+    All 576 products U_a U_b are matched against the 24 elements in one
+    stacked Hilbert-Schmidt overlap: U_a U_b equals U_c up to phase exactly
+    when |Tr(U_c^dag U_a U_b)| = 2. Every product must match exactly one
+    element within 1e-8, so closure (and distinctness of the elements) is
+    checked by construction; a finite closed set of unitaries is a group.
+    """
+    elements = clifford_table()
+    u = np.stack([target_u1(p) for p in elements])
+    products = np.matmul(u[:, None], u[None, :])  # [a, b] = U_a U_b
+    overlap = np.abs(np.einsum("cji,abji->abc", u.conj(), products))
+    hits = np.abs(overlap - 2.0) < 1e-8
+    if not np.all(hits.sum(axis=2) == 1):
+        raise OutOfRangeError("Clifford table is not closed under multiplication")
+    cayley = hits.argmax(axis=2)
+    identity = int(np.flatnonzero(np.all(cayley == np.arange(len(elements)), axis=1))[0])
+    inverse = (cayley == identity).argmax(axis=0)  # U_inverse[a] U_a = 1
+    cayley.setflags(write=False)
+    inverse.setflags(write=False)
+    return CliffordGroup(
+        elements=elements,
+        cayley=cayley,
+        inverse=inverse,
+        identity=identity,
+        positions=MappingProxyType({p: i for i, p in enumerate(elements)}),
+    )

@@ -21,10 +21,18 @@ from holosim.errors import (
     OutOfRangeError,
     RatioOutOfRangeError,
 )
+from holosim.model import paper_device
 from holosim.operators import phase_aligned_distance
 
 TABLE = hl.clifford_table()
 X_PI = hl.QUBIT_GATES["X_pi"]
+
+#: (seed, m, draws, recovery, recovery with H interleaved) as table indices,
+#: computed by the 2x2-matrix product and find_recovery scan
+PINNED_SEQUENCES = [
+    ([7, 0, 12, 3], 12, [2, 5, 23, 22, 6, 21, 17, 4, 17, 9, 6, 16], 6, 13),
+    ([2024, 1, 9, 41], 9, [4, 19, 17, 7, 23, 3, 19, 12, 11], 21, 11),
+]
 
 
 def depolarizing_superoperator(d):
@@ -53,6 +61,36 @@ def synthetic_survivals(lengths, d, seed, k):
     return np.array(means)
 
 
+def per_sequence_survivals(cfg, stream, gate):
+    """RB survivals one sequence at a time: recovery by 2x2 product and
+    find_recovery scan, survival by one ``sup @ v`` per channel."""
+
+    def channel(params):
+        schedule = hl.synthesize_qubit_gate(params)
+        return ev.schedule_channel(schedule, noise=cfg.noise, err=cfg.err, steps=cfg.steps)
+
+    out = np.empty((len(cfg.lengths), cfg.k))
+    for mi, m in enumerate(cfg.lengths):
+        for j in range(cfg.k):
+            rng = np.random.default_rng([cfg.seed, stream, m, j])
+            draws = [TABLE[int(i)] for i in rng.integers(0, len(TABLE), size=m)]
+            product = np.eye(2, dtype=complex)
+            ops = []
+            for params in draws:
+                product = hl.target_u1(params) @ product
+                ops.append(channel(params))
+                if gate is not None:
+                    product = hl.target_u1(gate) @ product
+                    ops.append(channel(gate))
+            ops.append(channel(TABLE[hl.find_recovery(product, TABLE)]))
+            v = np.zeros(9, dtype=complex)
+            v[0] = 1.0
+            for sup in ops:
+                v = sup @ v
+            out[mi, j] = v[0].real
+    return out
+
+
 class TestConfig:
     def test_lengths_validated(self):
         with pytest.raises(OutOfRangeError):
@@ -67,6 +105,13 @@ class TestConfig:
     def test_unknown_interleaved_gate_rejected(self):
         with pytest.raises(OutOfRangeError):
             rb.RbConfig(lengths=(1, 2, 3), interleaved="CNOT")
+
+    def test_non_clifford_interleaved_gate_rejected(self):
+        assert "T" in hl.QUBIT_GATES and "T" not in rb.CLIFFORD_GATES
+        with pytest.raises(OutOfRangeError, match="Clifford"):
+            rb.RbConfig(lengths=(1, 2, 3), interleaved="T")
+        for name in rb.CLIFFORD_GATES:
+            assert rb.RbConfig(lengths=(1, 2, 3), interleaved=name).interleaved == name
 
     def test_lengths_coerced_to_int_tuple(self):
         cfg = rb.RbConfig(lengths=[1.0, 2.0, 4.0])
@@ -128,6 +173,30 @@ class TestSequences:
         with pytest.raises(OutOfRangeError):
             rb.random_sequence(0, [1])
 
+    @pytest.mark.parametrize("seed,m,draws,recovery,recovery_h", PINNED_SEQUENCES)
+    def test_pinned_draws_and_recoveries(self, seed, m, draws, recovery, recovery_h):
+        got, rec = rb.random_sequence(m, seed)
+        assert [TABLE.index(p) for p in got] == draws
+        assert TABLE.index(rec) == recovery
+        got_h, rec_h = rb.random_sequence(m, seed, TABLE, interleave=hl.QUBIT_GATES["H"])
+        assert got_h == got
+        assert TABLE.index(rec_h) == recovery_h
+
+    def test_interleave_outside_table_params_uses_its_group_element(self):
+        # Y_pi's published phi differs from its table entry by a global phase
+        y_pi = hl.QUBIT_GATES["Y_pi"]
+        assert y_pi not in TABLE
+        draws, recovery = rb.random_sequence(7, [3, 1, 7, 0], interleave=y_pi)
+        product = np.eye(2, dtype=complex)
+        for p in draws:
+            product = hl.target_u1(y_pi) @ hl.target_u1(p) @ product
+        closed = hl.target_u1(recovery) @ product
+        assert phase_aligned_distance(closed, np.eye(2)) < 1e-10
+
+    def test_foreign_table_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            rb.random_sequence(3, [1], TABLE[::-1])
+
 
 class TestRunRb:
     def test_noiseless_survivals_and_unit_p(self):
@@ -150,6 +219,31 @@ class TestRunRb:
         a = rb.run_rb(cfg)
         b = rb.run_rb(cfg)
         assert np.array_equal(a.reference.survivals, b.reference.survivals)
+
+    @pytest.mark.parametrize("gate", ["H", "X_pi", "Y_pi"])
+    def test_batched_survivals_equal_per_sequence_loop(self, gate):
+        # X_pi is its own table entry; H and Y_pi match theirs only up to phase
+        # or rounding, so their interleaved channel is built from their loop
+        cfg = rb.RbConfig(lengths=(1, 2, 5), k=5, seed=4, interleaved=gate,
+                          noise=paper_device().q1_noise, steps=64)
+        run = rb.run_rb(cfg)
+        assert np.array_equal(run.reference.survivals, per_sequence_survivals(cfg, 0, None))
+        gate_params = hl.QUBIT_GATES[gate]
+        assert np.array_equal(
+            run.interleaved.survivals, per_sequence_survivals(cfg, 1, gate_params)
+        )
+        assert np.all(run.interleaved.survivals < 1.0 - 1e-4)
+
+    def test_survival_probability_accepts_a_batch_axis(self):
+        sups = [ev.unitary_superoperator(hl.loop_unitary(p)) for p in TABLE[:6]]
+        depol = depolarizing_superoperator(0.02)
+        strings = [(0, 3), (5, 1), (2, 2), (4, 0)]
+        stack = np.stack(sups)
+        cols = np.array(strings).T
+        batched = rb.survival_probability([stack[cols[0]], depol, stack[cols[1]]])
+        singles = [rb.survival_probability([sups[a], depol, sups[b]]) for a, b in strings]
+        assert batched.shape == (4,)
+        assert np.array_equal(batched, singles)
 
     def test_statistics_match_survivals(self):
         cfg = rb.RbConfig(lengths=(1, 2, 4), k=5, seed=2)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import holosim
+from holosim import benchmarking as bm
 from holosim import cli
 from holosim.calibration import Trace, chevron_omega
 from holosim.errors import ConfigError, IoError
@@ -408,6 +409,28 @@ class TestRbCommand:
         summary = json.loads((out / "rb_summary.json").read_text())
         assert "H" in summary["F_gate"]
         assert 0.9 < summary["F_gate"]["H"] <= 1.0
+
+    def test_non_clifford_interleaved_gate_exits_two_before_any_channel(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built for a rejected config")
+
+        monkeypatch.setattr(bm, "schedule_channel", no_channel)
+        cfg = {
+            "schema_version": 1,
+            "device": "paper-device",
+            "rb": {"m_max": 3, "k": 1, "interleaved": "T", "steps": SMALL_STEPS},
+        }
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run("rb", str(path), str(tmp_path / "out"))
+        assert info.value.path == "rb.interleaved"
+        code = cli.main(["rb", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rb.interleaved" in err
+        assert all(name in err for name in ("H", "X_pi", "X_pi_2", "Y_pi", "Z_pi"))
 
 
 class TestSweepCommand:

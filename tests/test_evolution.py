@@ -210,6 +210,34 @@ class TestScheduleDrivers:
         assert u3 is not u1
         assert np.allclose(u3, u1)
 
+    def test_cached_arrays_are_read_only(self):
+        ev.clear_cache()
+        sched = drive_schedule()
+        u = ev.schedule_unitary(sched, steps=64)
+        sup = ev.schedule_channel(sched, noise=md.paper_device().q1_noise, steps=64)
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            sup *= 2.0
+        assert ev.schedule_unitary(sched, steps=64) is u
+
+    def test_cache_entry_count_stays_at_bound(self, monkeypatch):
+        # a whole interleaved RB run (25 channels) must fit
+        assert ev.CACHE_SIZE >= 25
+        monkeypatch.setattr(ev, "CACHE_SIZE", 3)
+        ev.clear_cache()
+        sched = drive_schedule()
+        first = ev.schedule_unitary(sched, steps=40)
+        evicted = ev.schedule_unitary(sched, steps=41)
+        for steps in range(42, 46):
+            ev.schedule_unitary(sched, steps=40)  # a hit makes it most recent
+            ev.schedule_unitary(sched, steps=steps)
+            assert len(ev._cache) <= 3
+        assert len(ev._cache) == 3
+        assert ev.schedule_unitary(sched, steps=40) is first
+        assert ev.schedule_unitary(sched, steps=41) is not evicted
+        ev.clear_cache()
+
     def test_error_params_change_key(self):
         sched = drive_schedule()
         u0 = ev.schedule_unitary(sched)

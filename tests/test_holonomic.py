@@ -15,12 +15,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosim import evolution as ev
 from holosim import holonomic as hl
 from holosim import model as md
 from holosim.errors import OutOfRangeError, ZeroCouplingError
 from holosim.operators import (
+    dagger,
     gf_block,
     is_unitary,
     phase_aligned_distance,
@@ -322,3 +325,58 @@ class TestCliffordTable:
         )
         with pytest.raises(OutOfRangeError):
             hl.find_recovery(outsider)
+
+
+CLIFFORD_GATES = ("H", "X_pi", "X_pi_2", "Y_pi", "Z_pi")
+
+
+class TestCliffordGroup:
+    def test_cayley_and_inverse_tables_match_every_product(self):
+        group = hl.clifford_group()
+        assert group.elements == hl.clifford_table()
+        us = [hl.target_u1(p) for p in group.elements]
+        assert phase_aligned_distance(us[group.identity], np.eye(2)) < 1e-12
+        for a in range(24):
+            for b in range(24):
+                c = group.cayley[a, b]
+                assert phase_aligned_distance(us[a] @ us[b], us[c]) < 1e-10
+            inv = group.inverse[a]
+            assert group.cayley[inv, a] == group.identity
+            assert phase_aligned_distance(us[inv] @ us[a], np.eye(2)) < 1e-10
+        for p, index in group.positions.items():
+            assert group.elements[index] is p
+
+    def test_built_once_and_read_only(self):
+        group = hl.clifford_group()
+        assert hl.clifford_group() is group
+        with pytest.raises(ValueError):
+            group.cayley[0, 0] = 1
+        with pytest.raises(ValueError):
+            group.inverse[0] = 1
+
+    def test_build_rejects_a_table_that_is_not_closed(self, monkeypatch):
+        table = hl.clifford_table()
+        swapped = table[:-1] + (hl.QUBIT_GATES["T"],)
+        monkeypatch.setattr(hl, "clifford_table", lambda: swapped)
+        with pytest.raises(OutOfRangeError):
+            hl.clifford_group.__wrapped__()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        indices=st.lists(st.integers(0, 23), min_size=1, max_size=30),
+        interleave=st.sampled_from((None,) + CLIFFORD_GATES),
+    )
+    def test_table_recovery_matches_matrix_recovery(self, indices, interleave):
+        group = hl.clifford_group()
+        table = group.elements
+        gate_u = None if interleave is None else hl.target_u1(hl.QUBIT_GATES[interleave])
+        gate = None if gate_u is None else hl.find_recovery(dagger(gate_u), table)
+        product = np.eye(2, dtype=complex)
+        composed = group.identity
+        for i in indices:
+            product = hl.target_u1(table[i]) @ product
+            composed = group.cayley[i, composed]
+            if gate is not None:
+                product = gate_u @ product
+                composed = group.cayley[gate, composed]
+        assert group.inverse[composed] == hl.find_recovery(product, table)
