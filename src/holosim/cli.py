@@ -93,6 +93,9 @@ SUBCOMMANDS = ("gate", "qpt", "rb", "sweep", "cavity", "calibrate")
 GATE_STEPS = 1024
 QPT_STEPS = 1024
 RB_STEPS = 512
+#: steps ceiling: 4x the finest reference budget (16384); a larger value
+#: would only allocate steps x d x d arrays without buying accuracy
+MAX_STEPS = 65536
 
 
 # ---- config plumbing ----
@@ -180,8 +183,10 @@ def _resolve_error(cfg) -> md.ControlError:
 
 def _parse_steps(block, path, default: int) -> int:
     steps = _field(block, "steps", path, "int", default=default)
-    if steps < 4:
-        raise ConfigError(f"must be >= 4, got {steps}", _join(path, "steps"))
+    if not 4 <= steps <= MAX_STEPS:
+        raise ConfigError(
+            f"must be in [4, {MAX_STEPS}], got {steps}", _join(path, "steps")
+        )
     return steps
 
 

@@ -14,10 +14,10 @@ duration/4096:
 
 Schedules are integrated piecewise between segment boundaries so envelope
 kinks never fall inside a step; otherwise the integrator order degrades
-silently. Channels and unitaries are cached by a content hash of
-(builder, schedule, error, noise, step budget), which is what makes
-hundred-sequence benchmarking runs cheap; the cache is a bounded LRU and
-hands out read-only arrays.
+silently. Both integrators refuse a grid whose per-step phase
+max_t ||H(t)||_inf dt exceeds MAX_STEP_PHASE: beyond it the midpoint rule
+returns a unitary that no longer approximates the evolution, and RK4 leaves
+its stability region.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -25,10 +25,7 @@ a unitary U is kron(U, conj(U)).
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +43,9 @@ from .pulses import GateSchedule
 
 DEFAULT_STEPS = 4096
 TRACE_TOL = 1e-6
+#: largest per-step phase ||H||_inf dt (rad) accepted, below RK4's stability
+#: limit on the imaginary axis, 2 sqrt(2)
+MAX_STEP_PHASE = 2.5
 
 #: Hamiltonian builders addressable by name: (callable, dimension)
 SPACES = {
@@ -130,6 +130,16 @@ def _probe_dim(h, t: float) -> int:
     return m.shape[0]
 
 
+def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
+    """Raise StepTooLargeError if max_k ||h_stack[k]||_inf dt > MAX_STEP_PHASE."""
+    phase = float(np.einsum("kij->ki", np.abs(h_stack)).max()) * dt
+    if not phase <= MAX_STEP_PHASE:  # also catches nan
+        raise StepTooLargeError(
+            f"per-step phase |H| dt = {phase:.3g} rad exceeds {MAX_STEP_PHASE}; "
+            "refine the grid or reduce the drive and detuning"
+        )
+
+
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """prod_k mats[k] with mats[-1] leftmost, by pairwise tree reduction."""
     acc = mats[::-1]  # acc[0] is the leftmost factor
@@ -140,24 +150,25 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-def propagate_unitary(h, grid: TimeGrid, check: bool = True) -> np.ndarray:
+def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     """Midpoint-rule unitary propagator over the grid.
 
     h(t) must be Hermitian at every node; each step is the exact exponential
     of the midpoint Hamiltonian, so the result is unitary to rounding even
-    for coarse grids (accuracy, not unitarity, is what dt buys).
+    for coarse grids (accuracy, not unitarity, is what dt buys). A step
+    whose phase exceeds MAX_STEP_PHASE raises StepTooLargeError.
     """
     dim = _probe_dim(h, grid.t0)
     mids = grid.t0 + grid.dt * (np.arange(grid.steps) + 0.5)
     h_mid = _eval_hamiltonian(h, mids, dim)
-    if check and not is_hermitian(h_mid, 1e-8):
+    if not is_hermitian(h_mid, 1e-8):
         raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
+    _check_step_phase(h_mid, grid.dt)
     steps = expm_hermitian(h_mid, prefactor=-1j * grid.dt)
     u = _ordered_product(steps)
-    if check:
-        drift = np.max(np.abs(dagger(u) @ u - np.eye(dim)))
-        if drift > 1e-9:
-            raise StepTooLargeError(f"propagator unitarity drift {drift:.2e}")
+    drift = np.max(np.abs(dagger(u) @ u - np.eye(dim)))
+    if drift > 1e-9:
+        raise StepTooLargeError(f"propagator unitarity drift {drift:.2e}")
     return u
 
 
@@ -199,6 +210,8 @@ def _rk4(h, collapse_ops, grid: TimeGrid, s: np.ndarray, keep: bool = False):
     h_nodes = _eval_hamiltonian(h, nodes, dim)
     h_mids = _eval_hamiltonian(h, mids, dim)
     dt = grid.dt
+    _check_step_phase(h_nodes, dt)
+    _check_step_phase(h_mids, dt)
 
     def rhs(ht: np.ndarray, m: np.ndarray) -> np.ndarray:
         x = m.reshape(dim, dim, n)
@@ -261,7 +274,7 @@ def apply_channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---- schedule-level drivers with piecewise grids and caching ----
+# ---- schedule-level drivers with piecewise grids ----
 
 def _piece_grids(schedule: GateSchedule, steps: int):
     """Split the schedule at segment boundaries, allocating the step budget
@@ -276,41 +289,9 @@ def _piece_grids(schedule: GateSchedule, steps: int):
     return pieces
 
 
-#: cached arrays kept, least recently used evicted first; one interleaved RB
-#: run holds 25 channels (24 Cliffords and a gate outside the table)
-CACHE_SIZE = 64
-
-_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-_cache_lock = threading.Lock()
-
-
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
-
-
-def _key(*parts) -> str:
-    text = "|".join(repr(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _cached(key: str, compute) -> np.ndarray:
-    """The cached value under ``key``, calling ``compute()`` on a miss.
-
-    Cached arrays are shared by every caller, so they are stored read-only;
-    beyond CACHE_SIZE entries the least recently used one is dropped.
-    """
-    with _cache_lock:
-        if key in _cache:
-            _cache.move_to_end(key)
-            return _cache[key]
-    value = compute()
-    value.setflags(write=False)
-    with _cache_lock:
-        _cache[key] = value
-        while len(_cache) > CACHE_SIZE:
-            _cache.popitem(last=False)
-    return value
+    """No-op: propagators are computed afresh on every call and nothing is
+    cached. Kept only while the benchmark harness in perfbench/ calls it."""
 
 
 def schedule_unitary(
@@ -319,17 +300,13 @@ def schedule_unitary(
     steps: int = DEFAULT_STEPS,
     space: str = "qutrit",
 ) -> np.ndarray:
-    """Noiseless propagator of a whole schedule (cached)."""
+    """Noiseless propagator of a whole schedule."""
     builder, dim = SPACES[space]
-
-    def compute():
-        u = np.eye(dim, dtype=complex)
-        for a, b, n in _piece_grids(schedule, steps):
-            grid = TimeGrid(a, b, n)
-            u = propagate_unitary(lambda t: builder(schedule, err, t), grid) @ u
-        return u
-
-    return _cached(_key("unitary", space, schedule, err, steps), compute)
+    u = np.eye(dim, dtype=complex)
+    for a, b, n in _piece_grids(schedule, steps):
+        grid = TimeGrid(a, b, n)
+        u = propagate_unitary(lambda t: builder(schedule, err, t), grid) @ u
+    return u
 
 
 def schedule_channel(
@@ -340,7 +317,7 @@ def schedule_channel(
     space: str = "qutrit",
     cavity_noise: model.CavityNoise = model.NO_CAVITY_NOISE,
 ) -> np.ndarray:
-    """Channel superoperator of a whole schedule (cached).
+    """Channel superoperator of a whole schedule.
 
     Trivial noise reduces to the unitary channel. Cavity noise only applies
     to the six-level spaces.
@@ -351,16 +328,12 @@ def schedule_channel(
     )
     if trivial:
         return unitary_superoperator(schedule_unitary(schedule, err, steps, space))
-
-    def compute():
-        if dim == 3:
-            collapse = model.collapse_operators(noise)
-        else:
-            collapse = model.six_level_collapse_operators(noise, cavity_noise)
-        s = np.eye(dim * dim, dtype=complex)
-        for a, b, n in _piece_grids(schedule, steps):
-            grid = TimeGrid(a, b, n)
-            s = channel_superoperator(lambda t: builder(schedule, err, t), collapse, grid) @ s
-        return s
-
-    return _cached(_key("channel", space, schedule, err, noise, cavity_noise, steps), compute)
+    if dim == 3:
+        collapse = model.collapse_operators(noise)
+    else:
+        collapse = model.six_level_collapse_operators(noise, cavity_noise)
+    s = np.eye(dim * dim, dtype=complex)
+    for a, b, n in _piece_grids(schedule, steps):
+        grid = TimeGrid(a, b, n)
+        s = channel_superoperator(lambda t: builder(schedule, err, t), collapse, grid) @ s
+    return s

@@ -374,9 +374,9 @@ def clifford_table() -> tuple[HolonomicParams, ...]:
 
     target_u1 realizes the rotation exp(-i gamma/2 n.sigma) with
     n = (sin t cos p, -sin t sin p, cos t), so a rotation about axis a by
-    gamma maps to theta = arccos(a_z), phi = atan2(-a_y, a_x). Contains the
-    four benchmarked gates at their published parameters: (pi/2, pi, 0),
-    (pi/2, pi/2, 0), (pi/4, pi, 0), (0, pi, 0).
+    gamma maps to theta = atan2(|(a_x, a_y)|, a_z), phi = atan2(-a_y, a_x).
+    Contains the four benchmarked gates at exactly their published
+    parameters: (pi/2, pi, 0), (pi/2, pi/2, 0), (pi/4, pi, 0), (0, pi, 0).
     """
     table = []
     for axis, angle in _axis_angle_entries():
@@ -386,8 +386,10 @@ def clifford_table() -> tuple[HolonomicParams, ...]:
         if abs(angle - math.pi) < 1e-12:
             axis = _canonical_pi_axis(axis)
         ax, ay, az = axis
-        theta = math.acos(max(-1.0, min(1.0, az)))
-        phi = 0.0 if math.sin(theta) < 1e-12 else math.atan2(-ay, ax)
+        # atan2 of the two components is exact where acos(a_z) is not (H
+        # would get pi/4 + 1 ulp); "+ 0.0" turns atan2's -0.0 into 0.0
+        theta = math.atan2(math.hypot(ax, ay), az)
+        phi = 0.0 if math.sin(theta) < 1e-12 else math.atan2(-ay, ax) + 0.0
         table.append(HolonomicParams(theta, angle, phi))
     return tuple(table)
 

@@ -180,9 +180,9 @@ def crosstalk_sweep(
 
     Decoherence stays off; each cell is one unitary propagation of the
     schedule under a ControlError, scored against the family's ideal gate.
-    Cells are independent; ``threads`` > 1 spreads rows over a worker pool.
-    Results are assembled by grid index, so they do not depend on the pool
-    size or completion order.
+    Cells are independent; rows are spread over a pool of ``threads``
+    workers and assembled by grid index, so results do not depend on the
+    pool size or completion order.
     """
     eps = _coerce_grid(DEFAULT_EPSILONS if epsilons is None else epsilons, "epsilon")
     dets = _coerce_grid(
@@ -200,18 +200,11 @@ def crosstalk_sweep(
         chi_r = tm.reduce_chi(tm.chi_of_unitary(u, basis))
         return tm.fidelity_unatt(chi_r, chi_t)
 
-    grid = np.empty((eps.size, dets.size))
-    if threads == 1:
-        for i, e in enumerate(eps):
-            for j, d in enumerate(dets):
-                grid[i, j] = cell(e, d)
-    else:
-        def row(i: int) -> np.ndarray:
-            return np.array([cell(eps[i], d) for d in dets])
+    def row(e: float) -> list[float]:
+        return [cell(e, d) for d in dets]
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, values in enumerate(pool.map(row, range(eps.size))):
-                grid[i] = values
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        grid = np.array(list(pool.map(row, eps)))
     return CrosstalkGrid(
         family=family,
         gate=gate,

@@ -222,8 +222,8 @@ class TestRunRb:
 
     @pytest.mark.parametrize("gate", ["H", "X_pi", "Y_pi"])
     def test_batched_survivals_equal_per_sequence_loop(self, gate):
-        # X_pi is its own table entry; H and Y_pi match theirs only up to phase
-        # or rounding, so their interleaved channel is built from their loop
+        # X_pi and H are table entries; Y_pi matches its entry only up to
+        # phase, so its interleaved channel is built from its own loop
         cfg = rb.RbConfig(lengths=(1, 2, 5), k=5, seed=4, interleaved=gate,
                           noise=paper_device().q1_noise, steps=64)
         run = rb.run_rb(cfg)
@@ -233,6 +233,22 @@ class TestRunRb:
             run.interleaved.survivals, per_sequence_survivals(cfg, 1, gate_params)
         )
         assert np.all(run.interleaved.survivals < 1.0 - 1e-4)
+
+    @pytest.mark.parametrize("gate,builds", [("H", 24), ("Y_pi", 25)])
+    def test_interleaved_table_gate_reuses_its_table_channel(
+        self, monkeypatch, gate, builds
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ev.schedule_channel(*args, **kwargs)
+
+        monkeypatch.setattr(rb, "schedule_channel", counting)
+        cfg = rb.RbConfig(lengths=(1, 2, 5), k=5, seed=4, interleaved=gate,
+                          noise=paper_device().q1_noise, steps=64)
+        rb.run_rb(cfg)
+        assert len(calls) == builds
 
     def test_survival_probability_accepts_a_batch_axis(self):
         sups = [ev.unitary_superoperator(hl.loop_unitary(p)) for p in TABLE[:6]]

@@ -170,6 +170,23 @@ class TestConfigValidation:
             cli.run("rb", str(path), str(tmp_path / "out"))
         assert info.value.path == "rb.lengths"
 
+    @pytest.mark.parametrize("subcommand,block", [
+        ("gate", {"name": "X_pi"}),
+        ("qpt", {"gate": {"name": "H"}}),
+        ("rb", {"m_max": 3, "k": 1}),
+        ("sweep", {"family": "holonomic", "gate": "H"}),
+        ("cavity", {"gate": "X_pi"}),
+    ])
+    def test_steps_above_ceiling_exit_two(self, tmp_path, capsys, subcommand, block):
+        cfg = {"schema_version": 1, subcommand: dict(block, steps=10**9)}
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run(subcommand, str(path), str(tmp_path / "out"))
+        assert info.value.path == f"{subcommand}.steps"
+        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{subcommand}.steps" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, tmp_path):
         path = write_config(tmp_path, gate_config())
         with pytest.raises(ConfigError):
@@ -614,6 +631,24 @@ class TestMainEntry:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("holosim:")
+
+    @pytest.mark.parametrize("subcommand,cfg", [
+        ("sweep", {"sweep": {
+            "family": "holonomic", "gate": "H",
+            "epsilon": {"min": 0.0, "max": 0.0, "count": 1},
+            "detuning_mhz": {"min": 1e300, "max": 1e300, "count": 1},
+            "steps": SMALL_STEPS,
+        }}),
+        ("qpt", {"device": "paper-device", "error": {"detuning_mhz": 1e300},
+                 "qpt": {"gate": {"name": "H"}, "steps": SMALL_STEPS}}),
+    ])
+    def test_absurd_detuning_exits_one(self, tmp_path, capsys, subcommand, cfg):
+        path = write_config(tmp_path, dict(cfg, schema_version=1))
+        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("holosim: StepTooLargeError:")
+        assert "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,6 +1,6 @@
 """
 Propagators: midpoint-exponential unitary evolution, RK4 Lindblad dynamics,
-channel superoperators, and the schedule-level cache.
+channel superoperators, and the schedule-level drivers.
 
 Analytic oracles used here:
   - constant Rabi drive:   P_e(t) = sin^2(Omega t) for H = Omega sx
@@ -105,6 +105,15 @@ class TestUnitaryPropagation:
         with pytest.raises(NonHermitianInputError):
             ev.propagate_unitary(lambda t: bad, ev.TimeGrid(0, 1e-7, 16))
 
+    def test_step_phase_above_bound_rejected(self):
+        # |H|_inf dt = 1e9 * 1e-7 / 16 = 6.25 rad: the midpoint rule would
+        # return a unitary that no longer approximates the evolution
+        grid = ev.TimeGrid(0, 1e-7, 16)
+        with pytest.raises(StepTooLargeError, match="per-step phase"):
+            ev.propagate_unitary(lambda t: 1.0e9 * SX3, grid)
+        with pytest.raises(StepTooLargeError, match="per-step phase"):
+            ev.channel_superoperator(lambda t: 1.0e9 * SX3, [], grid)
+
 
 class TestLindblad:
     def test_amplitude_decay_oracle(self):
@@ -199,45 +208,6 @@ class TestSuperoperators:
 
 
 class TestScheduleDrivers:
-    def test_cache_returns_same_object(self):
-        ev.clear_cache()
-        sched = drive_schedule()
-        u1 = ev.schedule_unitary(sched)
-        u2 = ev.schedule_unitary(sched)
-        assert u1 is u2
-        ev.clear_cache()
-        u3 = ev.schedule_unitary(sched)
-        assert u3 is not u1
-        assert np.allclose(u3, u1)
-
-    def test_cached_arrays_are_read_only(self):
-        ev.clear_cache()
-        sched = drive_schedule()
-        u = ev.schedule_unitary(sched, steps=64)
-        sup = ev.schedule_channel(sched, noise=md.paper_device().q1_noise, steps=64)
-        with pytest.raises(ValueError):
-            u[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            sup *= 2.0
-        assert ev.schedule_unitary(sched, steps=64) is u
-
-    def test_cache_entry_count_stays_at_bound(self, monkeypatch):
-        # a whole interleaved RB run (25 channels) must fit
-        assert ev.CACHE_SIZE >= 25
-        monkeypatch.setattr(ev, "CACHE_SIZE", 3)
-        ev.clear_cache()
-        sched = drive_schedule()
-        first = ev.schedule_unitary(sched, steps=40)
-        evicted = ev.schedule_unitary(sched, steps=41)
-        for steps in range(42, 46):
-            ev.schedule_unitary(sched, steps=40)  # a hit makes it most recent
-            ev.schedule_unitary(sched, steps=steps)
-            assert len(ev._cache) <= 3
-        assert len(ev._cache) == 3
-        assert ev.schedule_unitary(sched, steps=40) is first
-        assert ev.schedule_unitary(sched, steps=41) is not evicted
-        ev.clear_cache()
-
     def test_error_params_change_key(self):
         sched = drive_schedule()
         u0 = ev.schedule_unitary(sched)

@@ -295,6 +295,12 @@ class TestCliffordTable:
             ]
             assert len(hits) == 1, f"missing table entry {want}"
 
+    @pytest.mark.parametrize("name", ["X_pi", "X_pi_2", "H", "Z_pi"])
+    def test_holds_published_gates_exactly(self, name):
+        # exact, sign of zero included: interleaved RB reuses the table's
+        # channel only for a gate that is a member
+        assert repr(hl.QUBIT_GATES[name]) in {repr(p) for p in hl.clifford_table()}
+
     def test_group_closure(self):
         table = hl.clifford_table()
         us = [hl.target_u1(p) for p in table]

@@ -19,7 +19,7 @@ from holosim import holonomic as hl
 from holosim import model as md
 from holosim import sweeps as sw
 from holosim import tomography as tm
-from holosim.errors import OutOfRangeError
+from holosim.errors import OutOfRangeError, StepTooLargeError
 from holosim.operators import gf_block, phase_aligned_distance
 
 SMALL_EPS = np.linspace(-0.08, 0.08, 5)
@@ -144,11 +144,17 @@ class TestCrosstalkSweep:
         with pytest.raises(OutOfRangeError):
             sw.crosstalk_sweep("holonomic", "H", epsilons=[math.nan], detunings=[0.0])
 
+    def test_absurd_detuning_raises_instead_of_scoring(self):
+        # every step would turn by ~1e297 rad; the propagator is meaningless
+        with pytest.raises(StepTooLargeError):
+            sw.crosstalk_sweep(
+                "holonomic", "H", epsilons=[0.0], detunings=[2.0 * math.pi * 1e306]
+            )
+
     def test_csv_reruns_bit_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         for path in (a, b):
-            ev.clear_cache()
             grid = sw.crosstalk_sweep(
                 "dynamic", "H", epsilons=SMALL_EPS, detunings=SMALL_DETS, steps=512
             )
