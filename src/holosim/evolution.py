@@ -6,18 +6,22 @@ duration/4096:
 * unitary: product of midpoint-rule exponentials, U = prod_k
   exp(-i H(t_k + dt/2) dt) ordered latest-left, with every step
   exponential done by a batched Hermitian eigendecomposition;
-* Lindblad: one classic RK4 core on dS/dt = L(t) S, where L(t) is the
-  Liouvillian -i[H(t), .] + sum_k D[L_k] acting on a (d^2, n) block of
-  vectorized states. The channel superoperator runs it on the identity
-  (n = d^2, tomography and benchmarking); a density-matrix trajectory runs
-  it on vec(rho0) (n = 1) and keeps every node.
+* Lindblad: classic RK4 on dS/dt = L(t) S, where L(t) is the Liouvillian
+  -i[H(t), .] + sum_k D[L_k]. L is linear, so each RK4 step is a matrix
+  S_{k+1} = M_k S_k built from the Liouvillians at t_k, t_k + dt/2 and
+  t_{k+1}; the maps are formed by batched matmuls, a few MB of steps at a
+  time. A channel superoperator (tomography, benchmarking, the cavity
+  pipeline) reduces them by a pairwise tree product, with no Python loop
+  over steps; a density-matrix trajectory applies the same maps to
+  vec(rho0) in sequence and keeps every node.
 
 Schedules are integrated piecewise between segment boundaries so envelope
 kinks never fall inside a step; otherwise the integrator order degrades
 silently. Both integrators refuse a grid whose per-step phase
 max_t ||H(t)||_inf dt exceeds MAX_STEP_PHASE: beyond it the midpoint rule
 returns a unitary that no longer approximates the evolution, and RK4 leaves
-its stability region.
+its stability region. RK4 also refuses a per-step decay ||D||_inf dt of the
+dissipator above the same bound, for the same reason.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -25,7 +29,6 @@ a unitary U is kron(U, conj(U)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,44 +200,97 @@ def _rk4_nodes(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mids
 
 
-def _rk4(h, collapse_ops, grid: TimeGrid, s: np.ndarray, keep: bool = False):
-    """Classic RK4 on dS/dt = L(t) S for a (d^2, n) block S of vec'd states.
+def _check_dissipator_step(diss: np.ndarray, dt: float) -> None:
+    """Raise StepTooLargeError if ||diss||_inf dt > MAX_STEP_PHASE."""
+    rate = float(np.abs(diss).sum(axis=1).max()) * dt
+    if not rate <= MAX_STEP_PHASE:  # also catches nan
+        raise StepTooLargeError(
+            f"per-step decay |D| dt = {rate:.3g} exceeds {MAX_STEP_PHASE}; "
+            "refine the grid or reduce the collapse rates"
+        )
 
-    Returns the final block, or with ``keep`` every node as (steps + 1,
-    d^2, n).
+
+def _liouvillians(h_stack: np.ndarray, diss: np.ndarray) -> np.ndarray:
+    """Stack of Liouvillians -i[H_k, .] + diss, shape (k, d^2, d^2).
+
+    -i kron(H, I) and +i kron(I, H^T) are scattered into their nonzero
+    row-major positions instead of being formed as dense Kronecker products.
     """
-    d2, n = s.shape
-    dim = math.isqrt(d2)
+    k, d, _ = h_stack.shape
+    out = np.repeat(diss[None], k, axis=0)
+    blocks = out.reshape(k, d, d, d, d)  # [k, a, b, c, e]: row (a, b), col (c, e)
+    minus_ih = -1j * h_stack
+    plus_iht = 1j * h_stack.transpose(0, 2, 1)
+    for b in range(d):
+        blocks[:, :, b, :, b] += minus_ih  # -i H[a, c] delta(b, e)
+    for a in range(d):
+        blocks[:, a, :, a, :] += plus_iht  # +i H[e, b] delta(a, c)
+    return out
+
+
+def _plus_eye(stack: np.ndarray) -> np.ndarray:
+    """Add the identity to every matrix of a (k, n, n) stack, in place."""
+    i = np.arange(stack.shape[-1])
+    stack[:, i, i] += 1.0
+    return stack
+
+
+def _rk4_maps(l_nodes: np.ndarray, l_mids: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step maps M_k with S_{k+1} = M_k S_k, one per step, (k, d^2, d^2).
+
+    With A, B, C the Liouvillians at t_k, t_k + dt/2 and t_{k+1}:
+    M = I + dt/6 (A + 2 K2 + 2 K3 + K4), K2 = B (I + dt/2 A),
+    K3 = B (I + dt/2 K2), K4 = C (I + dt K3). Three batched matmuls; the
+    elementwise work runs in place.
+    """
+    a, b, c = l_nodes[:-1], l_mids, l_nodes[1:]
+    x = _plus_eye((0.5 * dt) * a)
+    k2 = b @ x
+    k3 = b @ _plus_eye(np.multiply(k2, 0.5 * dt, out=x))
+    k4 = c @ _plus_eye(np.multiply(k3, dt, out=x))
+    k2 += k3
+    k2 *= 2.0
+    k2 += a
+    k2 += k4
+    k2 *= dt / 6.0
+    return _plus_eye(k2)
+
+
+#: superoperator entries per stack of step maps: 32 six-level steps (a 0.66 MB
+#: stack) or 512 qutrit steps, so the working set stays a few MB while small
+#: spaces still batch enough steps to amortize the per-call overhead
+_CHUNK_ENTRIES = 32 * 36 * 36
+
+
+def _step_maps(h, collapse_ops, grid: TimeGrid, dim: int):
+    """Yield the grid's RK4 step maps in order, in stacks of at most
+    _CHUNK_ENTRIES superoperator entries.
+
+    Every guard runs before the first map is built: the per-step phase of
+    H at the nodes and midpoints, and the per-step decay of the dissipator.
+    """
+    dt = grid.dt
     diss = _dissipator(collapse_ops, dim)
+    _check_dissipator_step(diss, dt)
     nodes, mids = _rk4_nodes(grid)
     h_nodes = _eval_hamiltonian(h, nodes, dim)
     h_mids = _eval_hamiltonian(h, mids, dim)
-    dt = grid.dt
     _check_step_phase(h_nodes, dt)
     _check_step_phase(h_mids, dt)
-
-    def rhs(ht: np.ndarray, m: np.ndarray) -> np.ndarray:
-        x = m.reshape(dim, dim, n)
-        comm = np.einsum("ab,bcm->acm", ht, x) - np.einsum("abm,bc->acm", x, ht)
-        return (-1j) * comm.reshape(d2, n) + diss @ m
-
-    history = [s]
-    for k in range(grid.steps):
-        k1 = rhs(h_nodes[k], s)
-        k2 = rhs(h_mids[k], s + 0.5 * dt * k1)
-        k3 = rhs(h_mids[k], s + 0.5 * dt * k2)
-        k4 = rhs(h_nodes[k + 1], s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if keep:
-            history.append(s)
-    return np.stack(history) if keep else s
+    chunk = max(1, _CHUNK_ENTRIES // diss.size)
+    for j in range(0, grid.steps, chunk):
+        l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss)
+        l_mids = _liouvillians(h_mids[j : j + chunk], diss)
+        yield _rk4_maps(l_nodes, l_mids, dt)
 
 
 def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Fixed-step RK4 integration of the Lindblad equation.
 
-    Returns the full trajectory on the grid nodes. Raises StepTooLargeError
-    if the trace drifts by more than 1e-6 anywhere along the way.
+    Applies the same per-step maps as channel_superoperator to vec(rho0),
+    one node at a time, and returns the full trajectory on the grid nodes.
+    Raises StepTooLargeError if the trace drifts by more than 1e-6 anywhere
+    along the way.
     """
     rho = np.asarray(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -242,7 +298,13 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
-    vecs = _rk4(h, collapse_ops, grid, rho.reshape(dim * dim, 1), keep=True)
+    vecs = np.empty((grid.steps + 1, dim * dim), dtype=complex)
+    vecs[0] = rho.reshape(-1)
+    k = 0
+    for maps in _step_maps(h, collapse_ops, grid, dim):
+        for m in maps:
+            vecs[k + 1] = m @ vecs[k]
+            k += 1
     states = vecs.reshape(grid.steps + 1, dim, dim)
     traces = np.real(np.einsum("tii->t", states))
     drift = float(np.max(np.abs(traces - traces[0])))
@@ -254,14 +316,17 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
 
 
 def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
-    """RK4 integration of the full (d^2, d^2) channel superoperator.
+    """RK4 channel superoperator (d^2, d^2) of the Lindblad equation.
 
-    The Lindblad equation is linear, so propagating the identity
-    superoperator gives exactly the same map as propagating every input
-    state separately, at a fraction of the cost when the map is reused.
+    RK4 on the linear Lindblad equation is a product of per-step maps; each
+    chunk of maps is reduced by the pairwise tree product, so no Python loop
+    runs over steps. The result equals propagating every input state.
     """
-    d2 = _probe_dim(h, grid.t0) ** 2
-    return _rk4(h, collapse_ops, grid, np.eye(d2, dtype=complex))
+    dim = _probe_dim(h, grid.t0)
+    s = np.eye(dim * dim, dtype=complex)
+    for maps in _step_maps(h, collapse_ops, grid, dim):
+        s = _ordered_product(maps) @ s
+    return s
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:

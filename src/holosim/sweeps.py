@@ -243,6 +243,25 @@ def _frame_unitary(phase: float) -> np.ndarray:
     ).astype(complex)
 
 
+def _swap_unitaries(device: md.DeviceTable, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless six-level propagators of the encode and decode swaps."""
+
+    def swap(phase: float) -> np.ndarray:
+        schedule = encode_swap_schedule(device.g_swap, phase)
+        return ev.schedule_unitary(schedule, steps=steps, space="cavity_full")
+
+    return swap(ENCODE_PHASE), swap(DECODE_PHASE)
+
+
+def _frame_phase(u_enc: np.ndarray, u_dec: np.ndarray) -> float:
+    """Decode-frame phase in closed form; see calibrate_frame_phase."""
+    u = u_dec @ u_enc
+    b00, b11 = u[0, 0], u[2, 2]
+    if abs(b00) < 1e-9 or abs(b11) < 1e-9:
+        raise OutOfRangeError("identity pipeline does not return the qubit")
+    return float(np.angle(b00) - np.angle(b11))
+
+
 def calibrate_frame_phase(
     device: md.DeviceTable | None = None, steps: int = PIPELINE_STEPS
 ) -> float:
@@ -253,22 +272,7 @@ def calibrate_frame_phase(
     peaks exactly at phi = arg(b00) - arg(b11), so the maximizer is computed
     in closed form rather than scanned.
     """
-    device = device or md.paper_device()
-    u_enc = ev.schedule_unitary(
-        encode_swap_schedule(device.g_swap, ENCODE_PHASE),
-        steps=steps,
-        space="cavity_full",
-    )
-    u_dec = ev.schedule_unitary(
-        encode_swap_schedule(device.g_swap, DECODE_PHASE),
-        steps=steps,
-        space="cavity_full",
-    )
-    u = u_dec @ u_enc
-    b00, b11 = u[0, 0], u[2, 2]
-    if abs(b00) < 1e-9 or abs(b11) < 1e-9:
-        raise OutOfRangeError("identity pipeline does not return the qubit")
-    return float(np.angle(b00) - np.angle(b11))
+    return _frame_phase(*_swap_unitaries(device or md.paper_device(), steps))
 
 
 @dataclass(frozen=True)
@@ -310,11 +314,10 @@ def cavity_pipeline(
     ``g_total`` is omitted it is chosen so the two-photon tone sits at the
     device's calibrated amplitude: g_total = g1 / sin(theta / 2). Every run
     calibrates its decode-frame phase with calibrate_frame_phase at the same
-    step budget.
+    step budget; a run without decoherence reuses the calibration's swap
+    propagators as its encode and decode legs.
     """
     device = device or md.paper_device()
-    frame_phase = calibrate_frame_phase(device, steps)
-    qn_swap = device.q2_noise if include_decoherence else md.NO_NOISE
     qn_gate = device.q1_noise if include_decoherence else md.NO_NOISE
     cn = device.cavity_noise if include_decoherence else md.NO_CAVITY_NOISE
 
@@ -323,7 +326,17 @@ def cavity_pipeline(
             schedule, qutrit_noise, steps=steps, space="cavity_full", cavity_noise=cn
         )
 
-    sup = leg(encode_swap_schedule(device.g_swap, ENCODE_PHASE), qn_swap)
+    if include_decoherence:
+        frame_phase = calibrate_frame_phase(device, steps)
+        enc = leg(encode_swap_schedule(device.g_swap, ENCODE_PHASE), device.q2_noise)
+        dec = leg(encode_swap_schedule(device.g_swap, DECODE_PHASE), device.q2_noise)
+    else:
+        # noiseless swap legs are the calibration's own propagators
+        u_enc, u_dec = _swap_unitaries(device, steps)
+        frame_phase = _frame_phase(u_enc, u_dec)
+        enc, dec = ev.unitary_superoperator(u_enc), ev.unitary_superoperator(u_dec)
+
+    sup = enc
     if gate is None:
         target = np.eye(2, dtype=complex)
         label = "identity"
@@ -340,7 +353,7 @@ def cavity_pipeline(
         sup = leg(schedule, qn_gate) @ sup
         target = target_u2(theta, phi)
         label = f"u2(theta={theta:.6g},phi={phi:.6g})"
-    sup = leg(encode_swap_schedule(device.g_swap, DECODE_PHASE), qn_swap) @ sup
+    sup = dec @ sup
     sup = ev.unitary_superoperator(_frame_unitary(frame_phase)) @ sup
 
     basis = qubit_pauli_basis()

@@ -1,6 +1,7 @@
 """
-Propagators: midpoint-exponential unitary evolution, RK4 Lindblad dynamics,
-channel superoperators, and the schedule-level drivers.
+Propagators: midpoint-exponential unitary evolution, RK4 Lindblad dynamics
+(per-step maps, tree-reduced channels), channel superoperators, and the
+schedule-level drivers.
 
 Analytic oracles used here:
   - constant Rabi drive:   P_e(t) = sin^2(Omega t) for H = Omega sx
@@ -13,8 +14,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosim import evolution as ev
+from holosim import holonomic as hl
 from holosim import model as md
 from holosim.errors import (
     NonHermitianInputError,
@@ -26,6 +30,7 @@ from holosim.pulses import Constant, GateSchedule, PulseSegment, TruncatedGaussi
 
 
 SX3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+DECAY_10 = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)  # |0><1|
 
 
 def drive_schedule(amp=1.0e7, duration=60e-9, phase=0.0):
@@ -230,3 +235,144 @@ class TestScheduleDrivers:
             ev.TimeGrid(0, sched.duration, 512),
         )
         assert np.max(np.abs(u_piece - u_flat)) < 1e-9
+
+
+def loop_rk4(h, collapse_ops, grid, s):
+    """The per-step RK4 loop that the step-map core replaced, as a reference.
+
+    Integrates dS/dt = L(t) S on a (d^2, n) block S and returns every node,
+    (steps + 1, d^2, n).
+    """
+    d2, n = s.shape
+    dim = math.isqrt(d2)
+    eye = np.eye(dim)
+    diss = np.zeros((d2, d2), dtype=complex)
+    for c in collapse_ops:
+        cdc = c.conj().T @ c
+        diss += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    dt = grid.dt
+    nodes = grid.t0 + dt * np.arange(grid.steps + 1)
+    h_nodes = [np.asarray(h(float(t)), dtype=complex) for t in nodes]
+    h_mids = [np.asarray(h(float(t) + 0.5 * dt), dtype=complex) for t in nodes[:-1]]
+
+    def rhs(ht, m):
+        x = m.reshape(dim, dim, n)
+        comm = np.einsum("ab,bcm->acm", ht, x) - np.einsum("abm,bc->acm", x, ht)
+        return (-1j) * comm.reshape(d2, n) + diss @ m
+
+    history = [s]
+    for k in range(grid.steps):
+        k1 = rhs(h_nodes[k], s)
+        k2 = rhs(h_mids[k], s + 0.5 * dt * k1)
+        k3 = rhs(h_mids[k], s + 0.5 * dt * k2)
+        k4 = rhs(h_nodes[k + 1], s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        history.append(s)
+    return np.stack(history)
+
+
+def _qutrit_case():
+    sched = hl.synthesize_qubit_gate(hl.QUBIT_GATES["H"])
+    h = lambda t: md.qutrit_drive_hamiltonian(sched, t=t)
+    collapse = md.collapse_operators(md.paper_device().q1_noise)
+    return h, collapse, 0.0, sched.boundaries()[1]  # first segment, 60 ns
+
+
+def _six_level_case():
+    dev = md.paper_device()
+    sched = hl.synthesize_cavity_gate(math.pi / 2, math.pi, 0.0, dev.g1 / math.sin(math.pi / 4))
+    h = lambda t: md.six_level_cavity_hamiltonian(sched, t=t)
+    collapse = md.six_level_collapse_operators(dev.q1_noise, dev.cavity_noise)
+    return h, collapse, 0.0, sched.duration
+
+
+CASES = {"qutrit": (_qutrit_case, 3), "six_level": (_six_level_case, 6)}
+
+
+def _chunk_steps(dim):
+    return ev._CHUNK_ENTRIES // dim**4
+
+
+class TestStepMapCore:
+    # steps straddle a six-level chunk edge (32 steps) and leave short last
+    # chunks; the qutrit also runs across its own chunk edge
+    @pytest.mark.parametrize(
+        "case, steps",
+        [(c, n) for c in CASES for n in (10, 31, 32, 33, 257)]
+        + [("qutrit", _chunk_steps(3) + n) for n in (-1, 0, 1)],
+    )
+    def test_matches_the_per_step_loop(self, case, steps):
+        build, dim = CASES[case]
+        h, collapse, t0, t1 = build()
+        grid = ev.TimeGrid(t0, t1, steps)
+        d2 = dim * dim
+        ref = loop_rk4(h, collapse, grid, np.eye(d2, dtype=complex))[-1]
+        assert np.max(np.abs(ev.channel_superoperator(h, collapse, grid) - ref)) < 1e-12
+        rng = np.random.default_rng(steps)
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        rho0 = np.outer(v, v.conj()) / np.vdot(v, v).real
+        ref_nodes = loop_rk4(h, collapse, grid, rho0.reshape(d2, 1))
+        traj = ev.propagate_lindblad(h, collapse, rho0, grid)
+        assert traj.states.shape == (steps + 1, dim, dim)
+        assert np.max(np.abs(traj.states - ref_nodes.reshape(-1, dim, dim))) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_repeat_calls_are_bit_identical(self, case):
+        build, dim = CASES[case]
+        h, collapse, t0, t1 = build()
+        grid = ev.TimeGrid(t0, t1, 257)
+        first = ev.channel_superoperator(h, collapse, grid)
+        assert np.array_equal(first, ev.channel_superoperator(h, collapse, grid))
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[0, 0] = 1.0
+        a = ev.propagate_lindblad(h, collapse, rho0, grid).states
+        assert np.array_equal(a, ev.propagate_lindblad(h, collapse, rho0, grid).states)
+
+    def test_dissipator_step_above_bound_rejected(self):
+        # |D|_inf dt = 1e9 * 1e-7 = 100: RK4 would return entries of ~1e66
+        c = math.sqrt(1e9) * DECAY_10
+        with pytest.raises(StepTooLargeError, match="per-step decay"):
+            ev.channel_superoperator(lambda t: np.zeros((3, 3)), [c], ev.TimeGrid(0, 1e-6, 10))
+
+
+@st.composite
+def lindblad_problems(draw):
+    """Bounded H(t) = H0 + t H1 on [0, 1], up to two collapse operators at
+    rates <= 1, a Hermitian test matrix and a pure initial state."""
+    dim = draw(st.integers(2, 3))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def matrix():
+        re = np.array(draw(st.lists(parts, min_size=dim * dim, max_size=dim * dim)))
+        im = np.array(draw(st.lists(parts, min_size=dim * dim, max_size=dim * dim)))
+        return (re + 1j * im).reshape(dim, dim)
+
+    h0, h1 = (0.5 * (m + m.conj().T) for m in (matrix(), matrix()))
+    collapse = []
+    for _ in range(draw(st.integers(0, 2))):
+        c = matrix()
+        norm = np.linalg.norm(c)
+        if norm > 1e-3:
+            collapse.append(math.sqrt(draw(st.floats(0.0, 1.0))) * c / norm)
+    steps = draw(st.integers(10, 40))
+    x = matrix()
+    herm = x + x.conj().T
+    v = x[0] if np.linalg.norm(x[0]) > 1e-3 else np.eye(dim)[0]
+    rho0 = np.outer(v, v.conj()) / np.vdot(v, v).real
+    h = lambda t: h0 + np.multiply.outer(t, h1)
+    return h, collapse, herm, rho0, ev.TimeGrid(0.0, 1.0, steps)
+
+
+class TestChannelInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=lindblad_problems())
+    def test_trace_preserving_hermitian_and_consistent(self, problem):
+        h, collapse, herm, rho0, grid = problem
+        sup = ev.channel_superoperator(h, collapse, grid)
+        # TP in row-major vec: <<I| S = <<I|
+        bra_i = np.eye(rho0.shape[0]).reshape(-1)
+        assert np.max(np.abs(bra_i @ sup - bra_i)) < 1e-9
+        out = ev.apply_channel(sup, herm)
+        assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        final = ev.propagate_lindblad(h, collapse, rho0, grid).final
+        assert np.max(np.abs(ev.apply_channel(sup, rho0) - final)) < 1e-12

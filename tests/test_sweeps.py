@@ -8,6 +8,7 @@ pipeline tests drive the six-level transmon-plus-cavity model end to end
 and reconstruct the 4x4 qubit process matrix.
 """
 
+import hashlib
 import json
 import math
 
@@ -239,6 +240,29 @@ class TestCavityPipeline:
     def test_equator_gate_acts_on_its_axis(self):
         res = sw.cavity_pipeline((math.pi / 4.0, 0.0), steps=1024)
         assert res.fidelity_att > 1.0 - 1e-4
+
+    def test_noiseless_run_propagates_each_schedule_once(self, monkeypatch):
+        calls = []
+        propagate = ev.schedule_unitary
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "schedule_unitary", counting)
+        sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
+        # encode swap, decode swap, gate: the frame calibration shares the swaps
+        assert len(calls) == 3
+
+    def test_noiseless_json_unchanged_by_shared_swaps(self, tmp_path):
+        # digest of the file written when calibration and legs propagated the
+        # swaps separately (numpy 2.4, x86-64); sharing them changes no bit
+        res = sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
+        path = tmp_path / "cavity.json"
+        res.to_json(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c64eba87edf9fb138c1c9a2ff5952236f1a6076a7ea28fde38009cc04cb80bb0"
+        )
 
     def test_json_export(self, tmp_path):
         res = sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=1024)
