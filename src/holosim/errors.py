@@ -58,8 +58,8 @@ class SingularInputSpanError(HolosimError):
 class ConvergenceFailureError(HolosimError):
     """An iterative reconstruction ran out of iterations.
 
-    Carries the best iterate found so the caller can inspect how close the
-    solver got.
+    Carries the solver's latest iterate as ``best`` so the caller can
+    inspect how close the solver got.
     """
 
     def __init__(self, message, best=None):

@@ -17,11 +17,12 @@ duration/4096:
 
 Schedules are integrated piecewise between segment boundaries so envelope
 kinks never fall inside a step; otherwise the integrator order degrades
-silently. Both integrators refuse a grid whose per-step phase
-max_t ||H(t)||_inf dt exceeds MAX_STEP_PHASE: beyond it the midpoint rule
-returns a unitary that no longer approximates the evolution, and RK4 leaves
-its stability region. RK4 also refuses a per-step decay ||D||_inf dt of the
-dissipator above the same bound, for the same reason.
+silently. The midpoint rule refuses a grid whose per-step phase
+max_t ||H(t)||_inf dt exceeds MAX_STEP_PHASE: beyond it the step unitaries
+no longer approximate the evolution. RK4 refuses one whose Liouvillian step
+(2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds the same bound, because the
+commutator's spectrum reaches 2 ||H|| and beyond the bound RK4 leaves its
+stability region.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -46,8 +47,9 @@ from .pulses import GateSchedule
 
 DEFAULT_STEPS = 4096
 TRACE_TOL = 1e-6
-#: largest per-step phase ||H||_inf dt (rad) accepted, below RK4's stability
-#: limit on the imaginary axis, 2 sqrt(2)
+#: largest accepted per-step phase: ||H||_inf dt (rad) on the midpoint rule,
+#: the Liouvillian bound (2 ||H||_inf + ||D||_inf) dt on RK4; below RK4's
+#: stability limit on the imaginary axis, 2 sqrt(2)
 MAX_STEP_PHASE = 2.5
 
 #: Hamiltonian builders addressable by name: (callable, dimension)
@@ -200,13 +202,19 @@ def _rk4_nodes(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mids
 
 
-def _check_dissipator_step(diss: np.ndarray, dt: float) -> None:
-    """Raise StepTooLargeError if ||diss||_inf dt > MAX_STEP_PHASE."""
-    rate = float(np.abs(diss).sum(axis=1).max()) * dt
-    if not rate <= MAX_STEP_PHASE:  # also catches nan
+def _check_liouvillian_step(h_stacks, diss: np.ndarray, dt: float) -> None:
+    """Raise StepTooLargeError if (2 ||H||_inf + ||diss||_inf) dt, a bound on
+    ||L||_inf dt of the Liouvillian -i[H, .] + diss, exceeds MAX_STEP_PHASE
+    for any H in the stacks."""
+    # np.max, unlike max(), propagates a nan from any stack
+    h_norm = float(np.max([np.einsum("kij->ki", np.abs(h)).max() for h in h_stacks]))
+    phase = 2.0 * h_norm * dt
+    decay = float(np.abs(diss).sum(axis=1).max()) * dt
+    if not phase + decay <= MAX_STEP_PHASE:  # also catches nan
         raise StepTooLargeError(
-            f"per-step decay |D| dt = {rate:.3g} exceeds {MAX_STEP_PHASE}; "
-            "refine the grid or reduce the collapse rates"
+            f"per-step phase 2|H| dt = {phase:.3g} rad plus per-step decay "
+            f"|D| dt = {decay:.3g} exceeds {MAX_STEP_PHASE}; refine the grid "
+            "or reduce the drive, detuning and collapse rates"
         )
 
 
@@ -266,17 +274,15 @@ def _step_maps(h, collapse_ops, grid: TimeGrid, dim: int):
     """Yield the grid's RK4 step maps in order, in stacks of at most
     _CHUNK_ENTRIES superoperator entries.
 
-    Every guard runs before the first map is built: the per-step phase of
-    H at the nodes and midpoints, and the per-step decay of the dissipator.
+    The Liouvillian step guard runs on the node and midpoint Hamiltonians
+    before the first map is built.
     """
     dt = grid.dt
     diss = _dissipator(collapse_ops, dim)
-    _check_dissipator_step(diss, dt)
     nodes, mids = _rk4_nodes(grid)
     h_nodes = _eval_hamiltonian(h, nodes, dim)
     h_mids = _eval_hamiltonian(h, mids, dim)
-    _check_step_phase(h_nodes, dt)
-    _check_step_phase(h_mids, dt)
+    _check_liouvillian_step((h_nodes, h_mids), diss, dt)
     chunk = max(1, _CHUNK_ENTRIES // diss.size)
     for j in range(0, grid.steps, chunk):
         l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss)

@@ -334,6 +334,29 @@ class TestStepMapCore:
         with pytest.raises(StepTooLargeError, match="per-step decay"):
             ev.channel_superoperator(lambda t: np.zeros((3, 3)), [c], ev.TimeGrid(0, 1e-6, 10))
 
+    def test_commutator_step_above_bound_rejected(self):
+        # |H|_inf dt = 2.4 rad passes the midpoint bound, but the commutator
+        # reaches 2|H| = 4.8 rad per step, outside RK4's stability region:
+        # unguarded, the channel has entries of 3e12 and the trajectory keeps
+        # trace 1 with coherences of 1e12
+        def h(t):
+            return 24.0 * np.diag([1.0, -1.0, 0.0]).astype(complex)
+
+        grid = ev.TimeGrid(0, 1, 10)
+        plus = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+        with pytest.raises(StepTooLargeError, match="per-step phase"):
+            ev.channel_superoperator(h, [], grid)
+        with pytest.raises(StepTooLargeError, match="per-step phase"):
+            ev.propagate_lindblad(h, [], plus, grid)
+
+    def test_nan_at_the_midpoints_only_rejected(self):
+        def h(t):
+            mid = np.isclose(np.asarray(t) * 10 % 1, 0.5)
+            return np.where(mid, np.nan, 0.0)[..., None, None] * SX3
+
+        with pytest.raises(StepTooLargeError):
+            ev.channel_superoperator(h, [], ev.TimeGrid(0, 1, 10))
+
 
 @st.composite
 def lindblad_problems(draw):

@@ -11,11 +11,15 @@ in the gf-centered operator basis, with the computational 4x4 block
 renormalized so that trace below 1 reads as leakage.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import holosim.cli as cli
 from holosim import evolution as ev
 from holosim import holonomic as hl
 from holosim import model as md
@@ -46,6 +50,31 @@ def random_density(rng, dim=3):
 def trace_distance(a, b):
     vals = np.linalg.eigvalsh(a - b)
     return 0.5 * float(np.sum(np.abs(vals)))
+
+
+def kkt_defect(row, rho):
+    """Largest violation of the optimality conditions of least squares over
+    unit-trace PSD rho, whatever solver produced rho.
+
+    With residuals r_k = Tr(rho E_k) - row_k, G = sum_k r_k E_k and
+    mu = Re Tr(G rho), rho is the minimizer iff G - mu I is PSD and
+    (G - mu I) rho = 0.
+    """
+    m_i = tg.measurement_coefficients().operator()
+    effective = [dagger(u) @ m_i @ u for u in tg.prerotations()]
+    r = [np.trace(rho @ e).real - y for e, y in zip(effective, row)]
+    g = sum(rk * e for rk, e in zip(r, effective))
+    s = g - np.trace(g @ rho).real * np.eye(3)
+    return max(-np.linalg.eigvalsh(s).min(), np.abs(s @ rho).max())
+
+
+def assert_physical(rho):
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+#: largest accepted KKT defect; converged rows read about 1e-14
+KKT_TOL = 1e-10
 
 
 def apply_chi(chi, rho):
@@ -230,16 +259,36 @@ class TestStateReconstruction:
             assert np.trace(back).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(back).min() > -1e-12
 
-    def test_mle_convergence_failure_reports_best_iterate(self):
+    def test_mle_convergence_failure_reports_best_iterate(self, monkeypatch):
         # alternating 0/1 row is not consistent with any density matrix and
         # one iteration is far too few to settle the fit
         row = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        monkeypatch.setattr(tg, "MLE_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceFailureError) as excinfo:
-            tg.mle_density(row, max_iterations=1)
+            tg.mle_density(row)
         best = excinfo.value.best
         assert best.shape == (3, 3)
         assert np.trace(best).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(best).min() > -1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        shots=st.integers(50, 1000),
+    )
+    def test_sampled_rows_meet_the_optimality_conditions(self, seed, ranks, shots):
+        rng = np.random.default_rng(seed)
+        rhos = []
+        for rank in ranks:
+            m = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+            rhos.append(m @ dagger(m) / np.trace(m @ dagger(m)).real)
+        rows = tg.simulate_record(rhos, shots=shots, seed=seed).values
+        stacked = tg.mle_density(rows)
+        for row, rho in zip(rows, stacked):
+            assert_physical(rho)
+            assert kkt_defect(row, rho) <= KKT_TOL
+            assert np.array_equal(tg.mle_density(row), rho)
 
 
 class TestChiExtraction:
@@ -309,11 +358,17 @@ class TestChiExtraction:
         assert np.linalg.eigvalsh(snapped.entries).min() > -1e-12
 
     def test_chi_of_unitary_matches_extraction(self):
-        u = hl.loop_unitary(hl.HolonomicParams(1.2, -0.8, 0.3))
-        outputs = [u @ r @ dagger(u) for r in INPUT_RHOS]
-        extracted = tg.extract_chi(INPUT_RHOS, outputs)
-        analytic = tg.chi_of_unitary(u)
-        assert np.max(np.abs(extracted.entries - analytic.entries)) < 1e-10
+        # the named gate loops and random 3x3 unitaries round-trip exactly
+        rngs = map(np.random.default_rng, range(5))
+        for u in [
+            hl.loop_unitary(hl.HolonomicParams(1.2, -0.8, 0.3)),
+            *(hl.loop_unitary(p) for p in hl.QUBIT_GATES.values()),
+            *(np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))[0] for g in rngs),
+        ]:
+            outputs = [u @ r @ dagger(u) for r in INPUT_RHOS]
+            extracted = tg.extract_chi(INPUT_RHOS, outputs)
+            analytic = tg.chi_of_unitary(u)
+            assert np.max(np.abs(extracted.entries - analytic.entries)) < 1e-10
 
     def test_chi_shape_must_match_basis(self):
         with pytest.raises(DimensionMismatchError):
@@ -472,3 +527,26 @@ class TestEndToEnd:
         assert result.record.seed == 5
         counts = result.record.values * 200
         assert np.max(np.abs(counts - np.round(counts))) < 1e-9
+
+
+#: 300-shot QPT records drawn like the benchmark's fit workload, on which a
+#: nonconvex Cholesky-parameter fit ran out of evaluations (FAILING_QPT) or
+#: needed thousands of them per row (SLOW_QPT)
+FAILING_QPT = {"device": "paper-device", "seed": 1441652260,
+               "qpt": {"gate": {"theta": 1.4885643527488204, "gamma": 6.244010877235908,
+                                "phi": 5.070861817954394}, "shots": 300}}
+SLOW_QPT = {"device": "paper-device", "seed": 1070832845,
+            "qpt": {"gate": {"theta": 2.054851549935035, "gamma": 5.925184535719045,
+                             "phi": 5.381242674882924}, "shots": 300}}
+
+
+@pytest.mark.parametrize("cfg", [FAILING_QPT, SLOW_QPT], ids=["failing", "slow"])
+def test_sampled_qpt_records_reconstruct_to_the_optimum(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    out = tmp_path / "out"
+    assert cli.run("qpt", str(path), str(out), threads=1) == 0
+    rows = tg.TomographyRecord.from_json(out / "record.json").values
+    for row, rho in zip(rows, tg.mle_density(rows)):
+        assert_physical(rho)
+        assert kkt_defect(row, rho) <= KKT_TOL
