@@ -1,15 +1,18 @@
 """Fitting procedures for device characterization traces.
 
-Four fits, each a least-squares round trip against a closed-form model:
+Four fits, each a least-squares round trip against an exact model:
 
-  - rate-equation decay: globally fit (P_g, P_e, P_f)(t) with exp(G t) p0,
-    G the population rate matrix of the relaxation cascade
+  - rate-equation decay: globally fit (P_g, P_e, P_f)(t) with the closed-form
+    solution of the g-e-f relaxation cascade
   - Ramsey: exponentially damped double (or single) sinusoid
   - Rabi: damped sinusoid, reported as an angular frequency
   - chevron: Omega_R = sqrt((delta - center)^2 + (2 g)^2)
 
-All initializations are deterministic (discrete-spectrum peaks, fixed
-multi-start lists), so identical inputs give identical fits.
+Ramsey and Rabi share one variable-projection fit (Golub & Pereyra, Inverse
+Problems 19, R1 (2003)): only the decay rate and the tone frequencies are
+searched; the offset and the tone quadratures are solved linearly at every
+step. Each fit starts once from a deterministic guess (sub-bin spectral
+peaks, the trace span), so identical inputs give identical fits.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401 (perfbench/trace.py wraps it)
 from scipy.optimize import least_squares
+from scipy.special import exprel
 
 from . import model as md
 from .errors import (
@@ -108,11 +112,11 @@ class ChevronPoint:
 
 # ---- shared fit plumbing ----
 
-def _covariance(fit) -> np.ndarray:
-    """Gauss-Newton parameter covariance s^2 (J^T J)^+ of a least_squares fit."""
-    dof = max(fit.fun.size - fit.x.size, 1)
-    s2 = 2.0 * fit.cost / dof
-    return s2 * np.linalg.pinv(fit.jac.T @ fit.jac)
+def _covariance(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Gauss-Newton parameter covariance s^2 (J^T J)^+ at one parameter point."""
+    dof = max(residuals.size - jac.shape[1], 1)
+    s2 = float(residuals @ residuals) / dof
+    return s2 * np.linalg.pinv(jac.T @ jac)
 
 
 def _fit_payload(fit) -> dict:
@@ -139,13 +143,24 @@ class RateFit:
 
 
 def rate_populations(rates, times, p0) -> np.ndarray:
-    """(3, n) populations exp(G t) p0 for G built from three decay rates."""
-    g = md.rate_matrix(md.NoiseModel(
-        gamma_eg=rates[0], gamma_fe=rates[1], gamma_fg=rates[2]
-    ))
-    t0 = times[0]
-    cols = [expm(g * (t - t0)) @ p0 for t in times]
-    return np.stack(cols, axis=1)
+    """(3, n) populations (P_g, P_e, P_f) of the decay cascade, from p0 at times[0].
+
+    The cascade's rate matrix is upper triangular, so the solution is closed
+    form: P_f decays at b = gamma_fe + gamma_fg, P_e decays at a = gamma_eg
+    and is fed at gamma_fe P_f through the divided difference
+    D = (e^{-a t} - e^{-b t}) / (b - a) = t e^{-min(a,b) t} exprel(-|a - b| t),
+    which is exact at a = b and never overflows; P_g holds the rest of the
+    conserved total.
+    """
+    noise = md.NoiseModel(gamma_eg=rates[0], gamma_fe=rates[1], gamma_fg=rates[2])
+    a = noise.gamma_eg
+    b = noise.gamma_fe + noise.gamma_fg
+    t = np.asarray(times, dtype=float) - times[0]
+    p0 = np.asarray(p0, dtype=float)
+    p_f = p0[2] * np.exp(-b * t)
+    feed = t * np.exp(-min(a, b) * t) * exprel(-abs(a - b) * t)
+    p_e = p0[1] * np.exp(-a * t) + noise.gamma_fe * p0[2] * feed
+    return np.stack([p0.sum() - p_e - p_f, p_e, p_f])
 
 
 def fit_rate_equation(trace_g: Trace, trace_e: Trace, trace_f: Trace) -> RateFit:
@@ -153,7 +168,7 @@ def fit_rate_equation(trace_g: Trace, trace_e: Trace, trace_f: Trace) -> RateFit
 
     The initial populations are read off the first sample; the three rates
     are bounded below by zero, so the negligible upward transitions stay
-    out of the model.
+    out of the model. Covariance order: gamma_eg, gamma_fe, gamma_fg.
     """
     if not (
         np.array_equal(trace_g.times, trace_e.times)
@@ -172,6 +187,7 @@ def fit_rate_equation(trace_g: Trace, trace_e: Trace, trace_f: Trace) -> RateFit
         residuals,
         [scale, scale, 0.1 * scale],
         bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
+        xtol=1e-12, ftol=1e-12, gtol=1e-12,
     )
     if not fit.success:
         raise FitDivergenceError(f"rate-equation fit did not converge: {fit.message}")
@@ -180,8 +196,91 @@ def fit_rate_equation(trace_g: Trace, trace_e: Trace, trace_f: Trace) -> RateFit
         gamma_fe=float(fit.x[1]),
         gamma_fg=float(fit.x[2]),
         residual_rms=float(np.sqrt(np.mean(fit.fun**2))),
-        covariance=_covariance(fit),
+        covariance=_covariance(fit.jac, fit.fun),
     )
+
+
+# ---- damped tones: the shared Ramsey / Rabi core ----
+
+def _spectral_peaks(trace: Trace, n: int):
+    """Sub-bin frequencies (Hz) and magnitudes of the n largest spectral peaks.
+
+    Peaks are local maxima of the non-DC discrete-spectrum magnitude, largest
+    first (fewer when the spectrum has fewer). Each is refined by parabolic
+    interpolation of the log magnitudes of its three bins: a sinusoid fit has
+    local minima roughly one spectral bin apart in frequency, so a start from
+    a raw bin center (up to half a bin off) regularly lands in the wrong one.
+    """
+    mags = np.abs(np.fft.rfft(trace.values - np.mean(trace.values)))
+    mags[0] = 0.0
+    if not mags.any():
+        raise FitDivergenceError("trace has no oscillatory component")
+    right = np.append(mags[2:], 0.0)
+    peaks = 1 + np.flatnonzero((mags[1:] > mags[:-1]) & (mags[1:] >= right))
+    peaks = peaks[np.argsort(-mags[peaks], kind="stable")[:n]]
+    freqs = []
+    for i in peaks:
+        delta = 0.0
+        if i < mags.size - 1 and mags[i - 1] > 0 and mags[i + 1] > 0:
+            la, lb, lc = np.log(mags[i - 1 : i + 2])
+            denom = la - 2.0 * lb + lc
+            if abs(denom) > 1e-12:
+                delta = float(np.clip(0.5 * (la - lc) / denom, -0.5, 0.5))
+        freqs.append(i + delta)
+    dt = float(np.mean(np.diff(trace.times)))
+    return np.array(freqs) / (dt * trace.values.size), mags[peaks]
+
+
+def _fit_damped_tones(trace: Trace, freqs):
+    """Variable-projection fit of y0 + e^{-r t} sum_k A_k cos(2 pi f_k t + phi_k).
+
+    Only r and the f_k are searched, in units of the trace span, starting
+    from ``freqs`` and one e-fold per span; at every step the offset and the
+    quadratures (A cos phi, -A sin phi) are the linear least-squares solution.
+    Returns (y0, r, amplitudes, frequencies, phases), t from the first sample.
+    """
+    span = trace.span
+    tau = (trace.times - trace.times[0]) / span
+    y = trace.values
+    n = len(freqs)
+    nyquist = 0.5 * span / float(np.mean(np.diff(trace.times)))
+
+    def basis(x):
+        decay = np.exp(-x[0] * tau)[:, None]
+        arg = TWO_PI * np.outer(tau, x[1:])
+        return np.hstack([np.ones((tau.size, 1)), decay * np.cos(arg), decay * np.sin(arg)])
+
+    def residuals(x):
+        phi = basis(x)
+        return phi @ np.linalg.lstsq(phi, y, rcond=None)[0] - y
+
+    fit = least_squares(
+        residuals,
+        np.concatenate([[1.0], np.clip(np.asarray(freqs) * span, 0.0, nyquist)]),
+        bounds=([0.0] * (n + 1), [np.inf] + [nyquist] * n),
+    )
+    if not fit.success:
+        raise FitDivergenceError(f"damped-sinusoid fit did not converge: {fit.message}")
+    coef = np.linalg.lstsq(basis(fit.x), y, rcond=None)[0]
+    c, s = coef[1 : n + 1], coef[n + 1 :]
+    return float(coef[0]), fit.x[0] / span, np.hypot(c, s), fit.x[1:] / span, np.arctan2(-s, c)
+
+
+def _tone_stats(trace: Trace, y0, rate, amps, freqs, phases):
+    """Residual rms and covariance of the damped-tone model at these parameters.
+
+    Covariance order: y0, r, then A_k, f_k, phi_k for each tone.
+    """
+    t = trace.times - trace.times[0]
+    decay = np.exp(-rate * t)[:, None]
+    arg = TWO_PI * np.outer(t, freqs) + phases
+    cos, sin = decay * np.cos(arg), decay * np.sin(arg)
+    tones = cos @ amps
+    residual = y0 + tones - trace.values
+    cols = [np.ones_like(t), -t * tones]
+    for k, a in enumerate(amps):
+        cols += [cos[:, k], -TWO_PI * a * t * sin[:, k], -a * sin[:, k]]
+    return float(np.sqrt(np.mean(residual**2))), _covariance(np.column_stack(cols), residual)
 
 
 # ---- Ramsey fit ----
@@ -209,128 +308,36 @@ class RamseyFit:
         write_json(path, payload)
 
 
-def _spectral_peaks(trace: Trace):
-    """Frequencies (Hz) of the two largest non-DC discrete-spectrum peaks.
-
-    Returns (f_main, f_second, relative_second_magnitude); the second
-    frequency is None when the spectrum has no second local peak.
-    """
-    values = trace.values - np.mean(trace.values)
-    dt = float(np.mean(np.diff(trace.times)))
-    mags = np.abs(np.fft.rfft(values))
-    freqs = np.fft.rfftfreq(trace.times.size, dt)
-    mags[0] = 0.0
-    main = int(np.argmax(mags))
-    if mags[main] == 0.0:
-        raise FitDivergenceError("trace has no oscillatory component")
-    # suppress the main peak and its shoulders, then look again
-    masked = mags.copy()
-    for idx in range(max(main - 1, 0), min(main + 2, mags.size)):
-        masked[idx] = 0.0
-    second = int(np.argmax(masked))
-    if masked[second] == 0.0:
-        return float(freqs[main]), None, 0.0
-    return (
-        float(freqs[main]),
-        float(freqs[second]),
-        float(masked[second] / mags[main]),
-    )
-
-
-def _peak_frequency_and_phase(trace: Trace):
-    """Sub-bin peak frequency (Hz) and the phase of its complex coefficient.
-
-    The discrete peak is refined by parabolic interpolation of the log
-    magnitudes of its three bins. A cosine fit has local minima roughly one
-    spectral bin apart in frequency, so starting Gauss-Newton from the raw
-    bin center (up to half a bin off) with an arbitrary phase regularly
-    lands in the wrong one; the refined frequency plus the spectral phase
-    start it inside the right basin.
-    """
-    values = trace.values - np.mean(trace.values)
-    dt = float(np.mean(np.diff(trace.times)))
-    spec = np.fft.rfft(values)
-    mags = np.abs(spec)
-    mags[0] = 0.0
-    main = int(np.argmax(mags))
-    if mags[main] == 0.0:
-        raise FitDivergenceError("trace has no oscillatory component")
-    delta = 0.0
-    if 1 <= main < mags.size - 1 and mags[main - 1] > 0 and mags[main + 1] > 0:
-        la, lb, lc = np.log(mags[main - 1 : main + 2])
-        denom = la - 2.0 * lb + lc
-        if abs(denom) > 1e-12:
-            delta = float(np.clip(0.5 * (la - lc) / denom, -0.5, 0.5))
-    f_peak = (main + delta) / (dt * trace.values.size)
-    return float(f_peak), float(np.angle(spec[main]))
-
-
-def _ramsey_model(x, t):
-    y0, rate, a1, f1, p1, a2, f2, p2 = x
-    decay = np.exp(-rate * t)
-    return y0 + decay * (
-        a1 * np.cos(TWO_PI * f1 * t + p1) + a2 * np.cos(TWO_PI * f2 * t + p2)
-    )
-
-
 SECOND_TONE_FLOOR = 0.05
 
 
 def fit_ramsey(trace: Trace) -> RamseyFit:
     """Fit y0 + e^{-t/T2*} [A1 cos(2 pi f1 t + p1) + A2 cos(2 pi f2 t + p2)].
 
-    Frequencies start from the two dominant spectral peaks; when the second
-    peak is below SECOND_TONE_FLOOR of the main one, the fit falls back
-    to a single tone and reports A2 = 0. The decay is parameterized by the
-    rate 1/T2*, so undamped data fits cleanly at rate 0.
+    The tones start from the two largest spectral peaks; when the second is
+    below SECOND_TONE_FLOOR of the main one, the fit has a single tone and
+    reports A2 = 0, as it does when a fitted second tone ends below 1e-3 of
+    the first. The decay is searched as the rate 1/T2*, so undamped data fits
+    cleanly at rate 0. A >= 0 and phi in (-pi, pi], from the first sample.
+    Covariance order: y0, 1/T2*, A1, f1, phi1, A2, f2, phi2, with zeros in
+    the slots of an absent second tone.
     """
-    f_main, f_second, rel = _spectral_peaks(trace)
-    two_tone = f_second is not None and rel >= SECOND_TONE_FLOOR
-    f_lo = f_main if not two_tone else min(f_main, f_second)
-    if trace.span * f_lo < 2.0:
+    freqs, mags = _spectral_peaks(trace, 2)
+    two_tone = mags.size == 2 and mags[1] >= SECOND_TONE_FLOOR * mags[0]
+    freqs = freqs if two_tone else freqs[:1]
+    if trace.span * freqs.min() < 2.0:
         raise FitDivergenceError(
-            f"trace spans {trace.span * f_lo:.2f} periods of the slower tone; "
+            f"trace spans {trace.span * freqs.min():.2f} periods of the slower tone; "
             "need at least 2"
         )
-
-    t = trace.times - trace.times[0]
-    y = trace.values
-    y0 = float(np.mean(y))
-    amp = float(np.ptp(y)) / 2.0
-    rate0 = 1.0 / max(trace.span, 1e-12)
-    starts = []
-    if two_tone:
-        fa, fb = sorted((f_main, f_second))
-        for r0 in (0.0, rate0, 3.0 * rate0):
-            starts.append([y0, r0, amp / 2.0, fa, 0.0, amp / 2.0, fb, 0.0])
-    else:
-        for r0 in (0.0, rate0, 3.0 * rate0):
-            starts.append([y0, r0, amp, f_main, 0.0, 0.0, 2.0 * f_main, 0.0])
-
-    def residuals(x):
-        return _ramsey_model(x, t) - y
-
-    nyquist = 0.5 / float(np.mean(np.diff(trace.times)))
-    lower = [-np.inf, 0.0, -np.inf, 0.0, -TWO_PI, -np.inf, 0.0, -TWO_PI]
-    upper = [np.inf, np.inf, np.inf, nyquist, TWO_PI, np.inf, nyquist, TWO_PI]
-    best = None
-    for x0 in starts:
-        fit = least_squares(residuals, x0, bounds=(lower, upper))
-        if fit.success and (best is None or fit.cost < best.cost):
-            best = fit
-    if best is None:
-        raise FitDivergenceError("Ramsey fit did not converge from any start")
-
-    y0, rate, a1, f1, p1, a2, f2, p2 = best.x
-    if abs(a2) > abs(a1):
-        a1, f1, p1, a2, f2, p2 = a2, f2, p2, a1, f1, p1
-    # spectral leakage of a lone tone can fake a second peak; the fit then
-    # drives its amplitude to zero, which settles the classification
-    single = bool((not two_tone) or abs(a2) < 1e-3 * abs(a1))
-    if single:
-        a2, f2, p2 = 0.0, 0.0, 0.0
-    elif f2 < f1:
-        a1, f1, p1, a2, f2, p2 = a2, f2, p2, a1, f1, p1
+    y0, rate, amps, freqs, phases = _fit_damped_tones(trace, freqs)
+    by_amp = np.argsort(-amps, kind="stable")
+    single = bool(not two_tone or amps[by_amp[1]] < 1e-3 * amps[by_amp[0]])
+    keep = by_amp[:1] if single else np.argsort(freqs, kind="stable")
+    rms, cov = _tone_stats(trace, y0, rate, amps[keep], freqs[keep], phases[keep])
+    (a1, a2), (f1, f2), (p1, p2) = (
+        np.append(v[keep], [0.0] * (2 - keep.size)) for v in (amps, freqs, phases)
+    )
     return RamseyFit(
         t2_star=float(1.0 / rate) if rate > 0 else math.inf,
         f1=float(f1),
@@ -339,10 +346,10 @@ def fit_ramsey(trace: Trace) -> RamseyFit:
         a2=float(a2),
         phi1=float(p1),
         phi2=float(p2),
-        offset=float(y0),
+        offset=y0,
         single_tone=single,
-        residual_rms=float(np.sqrt(np.mean(best.fun**2))),
-        covariance=_covariance(best),
+        residual_rms=rms,
+        covariance=np.pad(cov, (0, 8 - cov.shape[0])),
     )
 
 
@@ -365,42 +372,29 @@ class RabiFit:
 
 
 def fit_rabi(trace: Trace) -> RabiFit:
-    """Fit y0 + A e^{-r t} cos(Omega t + phi) and return Omega as rad/s."""
-    f_main, p_main = _peak_frequency_and_phase(trace)
-    if trace.span * f_main < 1.5:
+    """Fit y0 + A e^{-r t} cos(Omega t + phi) and return Omega as rad/s.
+
+    fit_ramsey's damped-tone fit with one tone, from the largest spectral
+    peak; A >= 0 and phi in (-pi, pi], from the first sample. Covariance
+    order: y0, A, Omega, phi, r.
+    """
+    freqs, _ = _spectral_peaks(trace, 1)
+    if trace.span * freqs[0] < 1.5:
         raise FitDivergenceError(
-            f"trace spans {trace.span * f_main:.2f} oscillation periods; "
+            f"trace spans {trace.span * freqs[0]:.2f} oscillation periods; "
             "need at least 1.5"
         )
-    t = trace.times - trace.times[0]
-    y = trace.values
-    amp = float(np.ptp(y)) / 2.0
-    x0 = [float(np.mean(y)), amp, TWO_PI * f_main, p_main, 0.0]
-
-    def residuals(x):
-        y0, a, w, p, r = x
-        return y0 + a * np.exp(-r * t) * np.cos(w * t + p) - y
-
-    nyquist_w = math.pi / float(np.mean(np.diff(trace.times)))
-    fit = least_squares(
-        residuals,
-        x0,
-        bounds=(
-            [-np.inf, 0.0, 0.0, -TWO_PI, 0.0],
-            [np.inf, np.inf, nyquist_w, TWO_PI, np.inf],
-        ),
-    )
-    if not fit.success:
-        raise FitDivergenceError(f"Rabi fit did not converge: {fit.message}")
-    y0, a, w, p, r = (float(v) for v in fit.x)
+    y0, rate, amps, freqs, phases = _fit_damped_tones(trace, freqs)
+    rms, cov = _tone_stats(trace, y0, rate, amps, freqs, phases)
+    order, scale = [0, 2, 3, 4, 1], np.array([1.0, 1.0, TWO_PI, 1.0, 1.0])
     return RabiFit(
-        omega_r=w,
-        amplitude=a,
+        omega_r=float(TWO_PI * freqs[0]),
+        amplitude=float(amps[0]),
         offset=y0,
-        phase=p,
-        decay_rate=r,
-        residual_rms=float(np.sqrt(np.mean(fit.fun**2))),
-        covariance=_covariance(fit),
+        phase=float(phases[0]),
+        decay_rate=float(rate),
+        residual_rms=rms,
+        covariance=cov[np.ix_(order, order)] * np.outer(scale, scale),
     )
 
 
@@ -424,7 +418,10 @@ def chevron_omega(offsets, center: float, g: float):
 
 
 def fit_chevron(points) -> ChevronFit:
-    """Fit the Rabi-frequency hyperbola over drive-frequency offsets."""
+    """Fit the Rabi-frequency hyperbola over drive-frequency offsets.
+
+    Covariance order: center, g.
+    """
     points = list(points)
     if len(points) < 5:
         raise FitDivergenceError(f"need at least 5 chevron points, got {len(points)}")
@@ -448,5 +445,5 @@ def fit_chevron(points) -> ChevronFit:
         center=float(fit.x[0]),
         g=float(fit.x[1]),
         residual_rms=float(np.sqrt(np.mean(fit.fun**2))),
-        covariance=_covariance(fit),
+        covariance=_covariance(fit.jac, fit.fun),
     )

@@ -299,8 +299,8 @@ def six_level_collapse_operators(
 def rate_matrix(noise: NoiseModel) -> np.ndarray:
     """Population rate matrix G with dp/dt = G p, p = (P_g, P_e, P_f).
 
-    Columns sum to zero (probability conservation); used by the
-    relaxation-calibration fit.
+    Columns sum to zero (probability conservation). Upper triangular, so
+    calibration.rate_populations solves it in closed form.
     """
     g_eg, g_fe, g_fg = noise.gamma_eg, noise.gamma_fe, noise.gamma_fg
     return np.array(

@@ -367,9 +367,11 @@ def extract_chi(
 ) -> ChiMatrix:
     """Linear inversion of rho_out = sum_mn chi_mn E_m rho_in E_n^dag.
 
-    Works for any square dimension (qutrit qpt and the cavity pipeline's
-    qubit-subspace version). ``project`` snaps the result to the nearest
-    positive-semidefinite Hermitian matrix, for sampled records.
+    Works for any square dimension d (qutrit qpt and the cavity pipeline's
+    qubit-subspace version) from exactly d^2 spanning inputs, so the design
+    matrix is square and one LU solve inverts it. ``project`` snaps the
+    result to the nearest positive-semidefinite Hermitian matrix, for sampled
+    records.
     """
     if basis is None:
         basis = process_basis_gf()
@@ -382,21 +384,21 @@ def extract_chi(
     for r in rhos_in + rhos_out:
         if r.shape != (d, d):
             raise DimensionMismatchError(f"state shape {r.shape} in dim-{d} basis")
+    if len(rhos_in) != d * d or nb != d * d:
+        raise DimensionMismatchError(
+            f"need {d * d} inputs and basis elements, got {len(rhos_in)} and {nb}"
+        )
     span = np.stack([r.reshape(-1) for r in rhos_in])
     if np.linalg.matrix_rank(span, tol=1e-10) < d * d:
         raise SingularInputSpanError(
             f"{len(rhos_in)} inputs span rank "
             f"{np.linalg.matrix_rank(span, tol=1e-10)} < {d * d}"
         )
-    a = np.empty((len(rhos_in) * d * d, nb * nb), dtype=complex)
-    for m, em in enumerate(basis):
-        for n, en in enumerate(basis):
-            col = m * nb + n
-            for k, rk in enumerate(rhos_in):
-                a[k * d * d : (k + 1) * d * d, col] = (em @ rk @ dagger(en)).reshape(-1)
-    y = np.concatenate([r.reshape(-1) for r in rhos_out])
-    x, *_ = np.linalg.lstsq(a, y, rcond=None)
-    chi = x.reshape(nb, nb)
+    e = np.stack(list(basis))
+    # a[(k, i, j), (m, n)] = (E_m rho_k E_n^dag)_ij
+    a = np.einsum("mia,kab,njb->kijmn", e, np.stack(rhos_in), e.conj()).reshape(nb * nb, -1)
+    y = np.stack(rhos_out).reshape(-1)
+    chi = np.linalg.solve(a, y).reshape(nb, nb)
     if project:
         chi = _psd_project(chi)
     residual = float(np.max(np.abs(a @ chi.reshape(-1) - y)))

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from holosim import calibration as cal
@@ -41,6 +43,21 @@ def cascade_traces(gamma_eg, gamma_fe, gamma_fg, t_end=120e-6, n=80, p0=None):
     return tuple(
         cal.Trace(times, pops[i], label) for i, label in enumerate("gef")
     )
+
+
+@st.composite
+def cascades(draw):
+    """Rates (up to 1e12 /s) with gamma_eg on, or 1e-9 / 1e-6 off, the degeneracy."""
+    rate = st.floats(1.0, 1e12)
+    g_fe = draw(rate)
+    g_fg = g_fe * draw(st.floats(0.0, 0.5))
+    b = g_fe + g_fg
+    offset = draw(st.sampled_from([None, 0.0, 1e-9, -1e-9, 1e-6, -1e-6]))
+    g_eg = draw(rate) if offset is None else b * (1.0 + offset)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+    p0 = weights / weights.sum() if weights.sum() > 0 else np.array([0.0, 0.0, 1.0])
+    times = np.linspace(0.0, draw(st.floats(0.5, 40.0)) / max(g_eg, b), 50)
+    return (g_eg, g_fe, g_fg), times, p0
 
 
 def ramsey_values(times, y0, t2, a1, f1, p1, a2, f2, p2):
@@ -165,6 +182,30 @@ class TestRateEquation:
         assert abs(fit.gamma_eg * 30e-6 - 1.0) < 0.02
         assert abs(fit.gamma_fe * 15e-6 - 1.0) < 0.02
 
+    @settings(max_examples=200, deadline=None)
+    @given(problem=cascades())
+    def test_closed_form_across_the_degeneracy(self, problem):
+        rates, times, p0 = problem
+        pops = cal.rate_populations(rates, times, p0)
+        assert np.all(np.isfinite(pops))
+        assert np.max(np.abs(pops.sum(axis=0) - p0.sum())) < 1e-12
+        a, b = rates[0], rates[1] + rates[2]
+        if abs(a - b) * times[-1] > 1.0:
+            g = md.rate_matrix(md.NoiseModel(*rates))
+            ref = np.stack([expm(g * t) @ p0 for t in times], axis=1)
+            assert np.max(np.abs(pops - ref)) < 1e-12
+        elif abs(a - b) * times[-1] < 1e-4:
+            # (e^{-at} - e^{-bt}) / (b - a) as a series in (b - a) t; expm
+            # itself is off by up to 1e-8 this close to the degeneracy
+            x = (b - a) * times
+            feed = times * np.exp(-a * times) * (1.0 - x / 2.0 + x**2 / 6.0)
+            p_e = p0[1] * np.exp(-a * times) + rates[1] * p0[2] * feed
+            assert np.max(np.abs(pops[1] - p_e)) < 1e-13
+            assert np.max(np.abs(pops[2] - p0[2] * np.exp(-b * times))) < 1e-15
+            if a == b:
+                limit = (p0[1] + rates[1] * p0[2] * times) * np.exp(-a * times)
+                assert np.max(np.abs(pops[1] - limit)) < 1e-13
+
     def test_requires_aligned_time_axes(self):
         tg, te, tf = cascade_traces(1e4, 2e4, 0.0)
         other = cal.Trace(te.times + 1e-9, te.values)
@@ -239,6 +280,36 @@ class TestRamsey:
             assert abs(fit.t2_star / t2 - 1.0) < 0.02
             assert abs(fit.f1 / f1 - 1.0) < 0.01
             assert abs(fit.f2 / f2 - 1.0) < 0.01
+
+    def test_acceptance_style_draw_that_once_locked_onto_a_spurious_tone(self):
+        # a draw of the release round-trip distribution on which a fit over
+        # all eight parameters settled on a tone near 894 kHz, T2* 8% low
+        t2 = 2.5479801169526206e-05
+        times = np.linspace(0.0, 60e-6, 300)
+        values = ramsey_values(
+            times, 0.5, t2,
+            0.15041779463664812, 140931.66507555527, 1.4803117431248238,
+            0.22857481613806482, 273465.9157651297, 0.7719054150722857,
+        )
+        fit = cal.fit_ramsey(cal.Trace(times, values, "ramsey"))
+        assert abs(fit.t2_star - t2) < 0.02 * t2
+
+    def test_covariance_follows_the_reported_tones(self):
+        # a lone noisy tone: the covariance has y0, 1/T2*, A1, f1, phi1 in
+        # its first slots and zeros in those of the absent second tone
+        times = np.linspace(0.0, 40e-6, 300)
+        values = ramsey_values(times, 0.5, 200e-6, 0.4, 0.213e6, 0.3, 0.0, 0.0, 0.0)
+        values += 1e-4 * np.random.default_rng(3).standard_normal(times.size)
+        trace = cal.Trace(times, values)
+        fit = cal.fit_ramsey(trace)
+        assert fit.single_tone
+        cov = fit.covariance
+        assert cov.shape == (8, 8)
+        assert np.all(cov[5:, :] == 0.0) and np.all(cov[:, 5:] == 0.0)
+        assert cov[3, 3] > 0.0
+        # the one-tone Rabi fit of the same trace has d(omega) = 2 pi d(f)
+        rabi = cal.fit_rabi(trace)
+        assert abs(cov[3, 3] * TWO_PI**2 / rabi.covariance[2, 2] - 1.0) < 1e-6
 
     def test_deterministic(self):
         times = np.linspace(0.0, 60e-6, 400)

@@ -10,6 +10,10 @@ byte for byte while timestamps stay confined to the manifest.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,36 @@ class TestDeterminism:
         grid_a = (tmp_path / "a" / "sweep.csv").read_bytes()
         grid_b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert grid_a == grid_b
+
+    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate"])
+    def test_artifacts_independent_of_blas_threads(self, tmp_path, subcommand):
+        # OpenBLAS may split one kernel across threads and change its
+        # rounding, so each run is a fresh process with its own thread count
+        if subcommand == "qpt":
+            cfg = qpt_config(shots=200)
+        else:
+            times = np.linspace(0.0, 60e-6, 300)
+            values = 0.5 + np.exp(-times / 25e-6) * (
+                0.2 * np.cos(TWO_PI * 0.12e6 * times + 0.4)
+                + 0.25 * np.cos(TWO_PI * 0.27e6 * times - 1.1)
+            )
+            Trace(times, values).to_csv(tmp_path / "ramsey.csv")
+            cfg = {"schema_version": 1,
+                   "calibrate": {"kind": "ramsey", "trace": "ramsey.csv"}}
+        path = write_config(tmp_path, cfg)
+        src = str(Path(holosim.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "holosim.cli", subcommand, "--config", str(path),
+                 "--out", str(tmp_path / threads)],
+                env=env, check=True,
+            )
+        manifest = json.loads((tmp_path / "1" / "manifest.json").read_text())
+        for name in manifest["artifacts"]:
+            bytes_1 = (tmp_path / "1" / name).read_bytes()
+            bytes_2 = (tmp_path / "2" / name).read_bytes()
+            assert bytes_1 == bytes_2, name
 
 
 class TestGateCommand:

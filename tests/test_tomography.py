@@ -343,6 +343,9 @@ class TestChiExtraction:
             tg.extract_chi(
                 [np.eye(2) / 2.0] * 9, [np.eye(2) / 2.0] * 9
             )
+        # the square inversion takes exactly d^2 = 9 inputs
+        with pytest.raises(DimensionMismatchError):
+            tg.extract_chi(INPUT_RHOS + INPUT_RHOS[:1], INPUT_RHOS + INPUT_RHOS[:1])
 
     def test_psd_projection_flag(self):
         rng = np.random.default_rng(71)
