@@ -316,9 +316,9 @@ def fit_ramsey(trace: Trace) -> RamseyFit:
 
     The tones start from the two largest spectral peaks; when the second is
     below SECOND_TONE_FLOOR of the main one, the fit has a single tone and
-    reports A2 = 0, as it does when a fitted second tone ends below 1e-3 of
-    the first. The decay is searched as the rate 1/T2*, so undamped data fits
-    cleanly at rate 0. A >= 0 and phi in (-pi, pi], from the first sample.
+    reports A2 = 0. The decay is searched as the rate 1/T2*, so undamped
+    data fits cleanly at rate 0. A >= 0 and phi in (-pi, pi], from the first
+    sample.
     Covariance order: y0, 1/T2*, A1, f1, phi1, A2, f2, phi2, with zeros in
     the slots of an absent second tone.
     """
@@ -331,9 +331,7 @@ def fit_ramsey(trace: Trace) -> RamseyFit:
             "need at least 2"
         )
     y0, rate, amps, freqs, phases = _fit_damped_tones(trace, freqs)
-    by_amp = np.argsort(-amps, kind="stable")
-    single = bool(not two_tone or amps[by_amp[1]] < 1e-3 * amps[by_amp[0]])
-    keep = by_amp[:1] if single else np.argsort(freqs, kind="stable")
+    keep = np.argsort(freqs, kind="stable")
     rms, cov = _tone_stats(trace, y0, rate, amps[keep], freqs[keep], phases[keep])
     (a1, a2), (f1, f2), (p1, p2) = (
         np.append(v[keep], [0.0] * (2 - keep.size)) for v in (amps, freqs, phases)
@@ -347,7 +345,7 @@ def fit_ramsey(trace: Trace) -> RamseyFit:
         phi1=float(p1),
         phi2=float(p2),
         offset=y0,
-        single_tone=single,
+        single_tone=not two_tone,
         residual_rms=rms,
         covariance=np.pad(cov, (0, 8 - cov.shape[0])),
     )

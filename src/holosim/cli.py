@@ -33,7 +33,7 @@ half-loop pulse. Subcommand blocks:
     sweep     {"family": "holonomic"|"dynamic", "gate": "H",
                "epsilon": {"min": -0.1, "max": 0.1, "count": 21},
                "detuning_mhz": {"min": -1, "max": 1, "count": 21},
-               "steps": 1024}
+               "steps": 128}
     cavity    {"gate": null | "X_pi" | {"theta": .., "phi": ..},
                "g_total_mhz": null|float, "steps": 2048}
     calibrate {"kind": "rate_equation", "trace_g": .., "trace_e": ..,
@@ -243,6 +243,9 @@ def _parse_axis(block, key, path, default_min, default_max):
     lo = _field(spec, "min", full, "number")
     hi = _field(spec, "max", full, "number")
     count = _field(spec, "count", full, "int")
+    for name, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value}", _join(full, name))
     if count < 1:
         raise ConfigError(f"must be >= 1, got {count}", _join(full, "count"))
     if hi < lo:

@@ -13,7 +13,8 @@ a ControlError. Cavity-qubit gates use the same structure on the effective
 basis {|0g>, |1g>, |0f>}, where |0f> plays the role of the auxiliary |e>.
 
 Builders accept a scalar time or an array of times; the array path returns a
-stacked (N, d, d) Hermitian array and is the one the propagators use.
+stacked (N, d, d) Hermitian array and is the one the propagators use. A
+ControlError with array fields adds leading batch axes, (*batch, N, d, d).
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class ControlError:
 
     ``epsilon`` scales both tones by (1 + epsilon); ``detuning`` (rad/s)
     enters as Delta|e><e| + 2 Delta|f><f| (both transitions shift together,
-    as for a qubit-frequency drift).
+    as for a qubit-frequency drift). Either field may be an array: the
+    Hamiltonian builders then return one Hamiltonian per broadcast element,
+    which is how a block of sweep cells is propagated at once.
     """
 
     epsilon: float = 0.0
@@ -194,12 +197,19 @@ def bright_dark(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(segments, err: ControlError, t, dim: int, coupling, detuning_diag):
     """Shared drive assembly. coupling maps transition -> (row, col) of the
-    |lower><upper| entry; detuning_diag is the per-level multiple of Delta."""
+    |lower><upper| entry; detuning_diag is the per-level multiple of Delta.
+
+    Array-valued err fields broadcast against each other into leading batch
+    axes: the result is (*batch, N, dim, dim) for N times, every batch
+    member equal to a scalar-err call."""
     if isinstance(segments, GateSchedule):
         segments = segments.segments
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    h = np.zeros((t_arr.size, dim, dim), dtype=complex)
-    gain = 1.0 + err.epsilon
+    eps = np.asarray(err.epsilon, dtype=float)
+    det = np.asarray(err.detuning, dtype=float)
+    batch = np.broadcast_shapes(eps.shape, det.shape)
+    h = np.zeros(batch + (t_arr.size, dim, dim), dtype=complex)
+    gain = (1.0 + eps)[..., None]
     for seg in segments:
         if seg.transition not in coupling:
             raise BadTransitionError(
@@ -207,12 +217,12 @@ def _assemble(segments, err: ControlError, t, dim: int, coupling, detuning_diag)
             )
         i, j = coupling[seg.transition]
         w = gain * np.exp(1j * seg.phase) * seg.waveform(t_arr)
-        h[:, i, j] += w
-        h[:, j, i] += np.conjugate(w)
-    if err.detuning != 0.0:
+        h[..., i, j] += w
+        h[..., j, i] += np.conjugate(w)
+    if np.any(det != 0.0):
         idx = np.arange(dim)
-        h[:, idx, idx] += err.detuning * np.asarray(detuning_diag, dtype=float)
-    return h if np.ndim(t) else h[0]
+        h[..., idx, idx] += det[..., None, None] * np.asarray(detuning_diag, dtype=float)
+    return h if np.ndim(t) else h[..., 0, :, :]
 
 
 def qutrit_drive_hamiltonian(segments, err: ControlError = NO_ERROR, t=0.0) -> np.ndarray:

@@ -257,15 +257,20 @@ class GateSchedule:
                 )
 
     def boundaries(self) -> np.ndarray:
-        """Sorted unique segment start/end times, including 0 and duration.
+        """Sorted unique segment start/end times and flat-top ramp/flat
+        edges, including 0 and duration.
 
         Integrators split the timeline here so envelope kinks never fall
-        inside a step.
+        inside a step: the sin^2 ramp's second derivative jumps where the
+        flat top begins and ends.
         """
         ts = {0.0, self.duration}
         for seg in self.segments:
-            ts.add(seg.start)
-            ts.add(min(seg.end, self.duration))
+            edges = [seg.start, seg.end]
+            env = seg.envelope
+            if isinstance(env, SquareWithRamps) and env.ramp > 0:
+                edges += [seg.start + env.ramp, seg.start + env.ramp + env.flat]
+            ts.update(min(t, self.duration) for t in edges)
         return np.array(sorted(ts))
 
     def transitions(self) -> tuple[str, ...]:

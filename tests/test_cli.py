@@ -8,15 +8,20 @@ the run metadata, and identical config plus seed reproduces every artifact
 byte for byte while timestamps stay confined to the manifest.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import holosim
 from holosim import benchmarking as bm
@@ -507,6 +512,62 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().strip().split("\n")
         assert rows[0].startswith("epsilon\\detuning_rad_s,")
         assert len(rows) == 4
+
+
+#: axis bounds, mostly ordinary: also huge, non-finite and non-numeric values
+AXIS_BOUNDS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([math.inf, -math.inf, math.nan, None, "0.1", [0.1]]),
+)
+
+
+@st.composite
+def sweep_blocks(draw):
+    """Random sweep blocks. Steps in (256, 65536] are valid but slow, so
+    they are not drawn; every other case runs through the whole CLI."""
+
+    def axis():
+        lo, hi = draw(AXIS_BOUNDS), draw(AXIS_BOUNDS)
+        if isinstance(lo, float) and isinstance(hi, float) and hi < lo:
+            lo, hi = hi, lo
+        if draw(st.integers(0, 3)) == 0:
+            lo, hi = hi, lo  # reversed: max below min
+        return {"min": lo, "max": hi, "count": draw(st.integers(1, 4))}
+
+    block = {
+        "family": draw(st.sampled_from(["holonomic", "dynamic"])),
+        "gate": draw(st.sampled_from(["H", "T"])),
+        "steps": draw(st.one_of(
+            st.integers(4, 256), st.integers(4, 256), st.integers(-8, 3),
+            st.integers(65537, 10**12),
+        )),
+    }
+    for key in ("epsilon", "detuning_mhz"):
+        if draw(st.booleans()):
+            block[key] = axis()
+    return block
+
+
+class TestSweepFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=sweep_blocks())
+    def test_every_sweep_block_exits_cleanly(self, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({"schema_version": 1, "sweep": block}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["sweep", "--config", str(path), "--out",
+                                 str(Path(tmp) / "out"), "--threads", "1"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert 4 <= block["steps"] <= 256
+
 
 
 class TestCavityCommand:

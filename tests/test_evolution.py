@@ -1,5 +1,6 @@
 """
-Propagators: midpoint-exponential unitary evolution, RK4 Lindblad dynamics
+Propagators: CFM4 unitary evolution (batched, exact on constant pieces), RK4
+Lindblad dynamics
 (per-step maps, tree-reduced channels), channel superoperators, and the
 schedule-level drivers.
 
@@ -96,6 +97,67 @@ class TestUnitaryPropagation:
         e_coarse = np.max(np.abs(ev.propagate_unitary(h, ev.TimeGrid(0, sched.duration, 128)) - ref))
         e_fine = np.max(np.abs(ev.propagate_unitary(h, ev.TimeGrid(0, sched.duration, 256)) - ref))
         assert e_coarse / e_fine > 3.5  # midpoint rule: halving dt ~ quarters the error
+
+    def test_fourth_order_convergence(self):
+        # detuned drive: H(t) at different times do not commute, so the order
+        # of CFM4's two exponentials matters (swapped, this ratio is about 4)
+        sched = drive_schedule()
+        err = md.ControlError(detuning=2 * math.pi * 5e6)
+
+        def propagate(steps):
+            return ev.propagate_unitary(
+                lambda t: md.qutrit_drive_hamiltonian(sched, err, t),
+                ev.TimeGrid(0, sched.duration, steps),
+            )
+
+        ref = propagate(4096)
+        e_coarse = np.max(np.abs(propagate(64) - ref))
+        e_fine = np.max(np.abs(propagate(128) - ref))
+        assert e_coarse / e_fine >= 12.0  # fourth order: halving dt ~ 16x
+
+    def test_constant_piece_is_one_exact_exponential(self, monkeypatch):
+        seg = PulseSegment(Constant(50e-9, peak_amplitude=3e7), "ge", 0.4)
+        sched = GateSchedule((seg,), 50e-9)
+        err = md.ControlError(epsilon=0.02, detuning=2 * math.pi * 3e6)
+        stacks = []
+
+        def counting(h, prefactor=-1j):
+            stacks.append(np.shape(h))
+            return expm_hermitian(h, prefactor)
+
+        monkeypatch.setattr(ev, "expm_hermitian", counting)
+        u = ev.schedule_unitary(sched, err, steps=256)
+        h = md.qutrit_drive_hamiltonian(sched, err, t=25e-9)
+        assert stacks == [(3, 3)]
+        assert np.max(np.abs(u - expm_hermitian(h, prefactor=-1j * 50e-9))) < 1e-13
+
+    def test_batch_axes_match_single_calls(self):
+        # every member sees the arithmetic of a single call, bit for bit;
+        # epsilon = -1 switches the drive off, so that member's Hamiltonian is
+        # constant and takes the exact exponential while the others step
+        sched = drive_schedule(amp=5e7)
+        eps = np.array([[-1.0], [-0.05], [0.1]])
+        dets = 2 * math.pi * 1e6 * np.array([0.5, -1.0])
+        u = ev.schedule_unitary(sched, md.ControlError(eps, dets), steps=128)
+        assert u.shape == (3, 2, 3, 3)
+        for i, j in np.ndindex(3, 2):
+            err = md.ControlError(float(eps[i, 0]), float(dets[j]))
+            single = ev.schedule_unitary(sched, err, steps=128)
+            assert np.array_equal(u[i, j], single)
+        assert np.allclose(u[0, 0], np.diag(np.exp(-1j * dets[0] * sched.duration * np.arange(3))))
+
+    def test_long_grids_exponentiate_in_bounded_stacks(self, monkeypatch):
+        sizes = []
+
+        def counting(h, prefactor=-1j):
+            sizes.append(int(np.prod(np.shape(h)[:-2])))
+            return expm_hermitian(h, prefactor)
+
+        sched = drive_schedule()
+        h = lambda t: md.qutrit_drive_hamiltonian(sched, t=t)
+        monkeypatch.setattr(ev, "expm_hermitian", counting)
+        ev.propagate_unitary(h, ev.TimeGrid(0, sched.duration, 3 * ev._CHUNK_STEPS + 5))
+        assert sizes == [2 * ev._CHUNK_STEPS] * 3 + [10]
 
     def test_unitary_to_rounding(self):
         sched = drive_schedule(amp=5e7)
@@ -224,6 +286,22 @@ class TestScheduleDrivers:
         sup = ev.schedule_channel(sched, noise=md.NO_NOISE)
         u = ev.schedule_unitary(sched)
         assert np.allclose(sup, ev.unitary_superoperator(u))
+
+    def test_flat_top_pieces_keep_rk4_order(self):
+        # the sin^2 ramps meet the flat top with a jump in the second
+        # derivative; split there, 256 RK4 steps are within 6.2e-9 of 8192
+        # (5.4e-5 when the kinks fell inside steps)
+        dev = md.paper_device()
+        sched = hl.synthesize_cavity_gate(
+            math.pi / 2, math.pi, 0.0, dev.g1 / math.sin(math.pi / 4)
+        )
+
+        def channel(steps):
+            return ev.schedule_channel(
+                sched, dev.q1_noise, steps=steps, space="cavity_effective"
+            )
+
+        assert np.max(np.abs(channel(256) - channel(8192))) < 1e-7
 
     def test_piecewise_matches_single_grid(self):
         # one smooth segment: splitting at boundaries must agree with a

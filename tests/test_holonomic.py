@@ -251,6 +251,16 @@ class TestCavitySynthesis:
         assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_encode_swap_splits_at_flat_top_edges(self):
+        # the ramp/flat edges are kinks of the sin^2 envelope: integrators
+        # must not step across them, and the flat top between them is exact
+        sched = hl.encode_swap_schedule(md.paper_device().g_swap, math.pi / 2)
+        (seg,) = sched.segments
+        ramp, flat = seg.envelope.ramp, seg.envelope.flat
+        assert np.array_equal(
+            sched.boundaries(), [0.0, ramp, ramp + flat, sched.duration]
+        )
+
 class TestDynamicSchedules:
     def test_hadamard_block(self):
         u = ev.schedule_unitary(hl.dynamic_hadamard_schedule())

@@ -9,6 +9,7 @@ and reconstruct the 4x4 qubit process matrix.
 """
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -145,6 +146,50 @@ class TestCrosstalkSweep:
         with pytest.raises(OutOfRangeError):
             sw.crosstalk_sweep("holonomic", "H", epsilons=[math.nan], detunings=[0.0])
 
+    @pytest.mark.parametrize("family", ["holonomic", "dynamic"])
+    def test_blocked_grid_matches_per_cell_propagation(self, family):
+        grid = sw.crosstalk_sweep(
+            family, "T", epsilons=SMALL_EPS, detunings=SMALL_DETS, steps=128
+        )
+        schedule, target = sw.reference_gate(family, "T")
+        for (i, e), (j, d) in itertools.product(enumerate(SMALL_EPS), enumerate(SMALL_DETS)):
+            u = ev.schedule_unitary(schedule, md.ControlError(e, d), steps=128)
+            fid = sw.reduced_process_fidelity(u, target)
+            assert abs(grid.fidelities[i, j] - fid) < 1e-14
+
+    def test_bit_identical_across_threads_and_block_sizes(self, monkeypatch):
+        # 256 steps: the default budget makes blocks of 4 of the 15 cells
+        def run(threads):
+            return sw.crosstalk_sweep(
+                "dynamic", "H", epsilons=SMALL_EPS, detunings=SMALL_DETS,
+                steps=256, threads=threads,
+            ).fidelities
+
+        ref = run(1)
+        assert all(np.array_equal(run(n), ref) for n in (2, 3))
+        monkeypatch.setattr(sw, "_BLOCK_MATRICES", 2 * 256)  # one cell per block
+        assert np.array_equal(run(2), ref)
+        monkeypatch.setattr(sw, "_BLOCK_MATRICES", 2 * 256 * ref.size)  # one block
+        assert np.array_equal(run(2), ref)
+
+    def test_exponential_stacks_stay_within_the_block_budget(self, monkeypatch):
+        # 150 cells of 4096 steps: a block is one cell, and its 8192 step
+        # matrices are exponentiated in stacks of at most 2048
+        sizes = []
+        expm = ev.expm_hermitian
+
+        def counting(h, prefactor=-1j):
+            sizes.append(int(np.prod(np.shape(h)[:-2])))
+            return expm(h, prefactor)
+
+        monkeypatch.setattr(ev, "expm_hermitian", counting)
+        sw.crosstalk_sweep(
+            "holonomic", "H", epsilons=np.linspace(-0.1, 0.1, 3),
+            detunings=2.0 * math.pi * 1e6 * np.linspace(-1.0, 1.0, 50),
+            steps=4096, threads=2,
+        )
+        assert sizes and max(sizes) <= sw._BLOCK_MATRICES
+
     def test_absurd_detuning_raises_instead_of_scoring(self):
         # every step would turn by ~1e297 rad; the propagator is meaningless
         with pytest.raises(StepTooLargeError):
@@ -257,13 +302,14 @@ class TestCavityPipeline:
     def test_noiseless_json_unchanged_by_shared_swaps(self, tmp_path):
         # digest of the file written when calibration and legs propagated the
         # swaps separately (numpy 2.4, x86-64); sharing them changes no bit.
-        # Pinned with extract_chi's square LU solve, whose chi entries are
-        # within 5.7e-16 of the former least-squares solve.
+        # Pinned with extract_chi's square LU solve and the CFM4 unitary core
+        # with exact flat tops; the file's values moved by at most 3.2e-8
+        # from the midpoint-rule pin, towards a 16384-step run.
         res = sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
         path = tmp_path / "cavity.json"
         res.to_json(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "673ef3e0bad86d9817eb3fa89a4da26f6c55647d37cedc334a82372ff831c535"
+            "18839b3e0525f6110172f77c949fb376f2ef84c6342235db2a5aca7e729b7c3a"
         )
 
     def test_json_export(self, tmp_path):
