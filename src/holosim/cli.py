@@ -117,7 +117,8 @@ def _join(path: str, key: str) -> str:
 
 
 def _field(block, key, path, kind, default=_MISSING, allow_none=False):
-    """One validated config value; the error names the full key path."""
+    """One validated config value (a number comes back as a finite float);
+    the error names the full key path."""
     full = _join(path, key)
     if key not in block:
         if default is _MISSING:
@@ -130,7 +131,15 @@ def _field(block, key, path, kind, default=_MISSING, allow_none=False):
         raise ConfigError("must not be null", full)
     if not _KINDS[kind](value):
         raise ConfigError(f"expected {kind}, got {type(value).__name__}", full)
-    return float(value) if kind == "number" else value
+    if kind != "number":
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError("out of the float range", full) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"must be finite, got {number}", full)
+    return number
 
 
 def _reject_unknown(block, allowed, path) -> None:
@@ -243,9 +252,6 @@ def _parse_axis(block, key, path, default_min, default_max):
     lo = _field(spec, "min", full, "number")
     hi = _field(spec, "max", full, "number")
     count = _field(spec, "count", full, "int")
-    for name, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"must be finite, got {value}", _join(full, name))
     if count < 1:
         raise ConfigError(f"must be >= 1, got {count}", _join(full, "count"))
     if hi < lo:

@@ -14,24 +14,30 @@ duration/4096:
   Hamiltonian stack may carry leading batch axes (a block of sweep cells
   runs the same code as one schedule), and a grid whose Hamiltonian is
   constant is one exact exponential;
-* Lindblad: classic RK4 on dS/dt = L(t) S, where L(t) is the Liouvillian
-  -i[H(t), .] + sum_k D[L_k]. L is linear, so each RK4 step is a matrix
-  S_{k+1} = M_k S_k built from the Liouvillians at t_k, t_k + dt/2 and
-  t_{k+1}; the maps are formed by batched matmuls, a few MB of steps at a
-  time. A channel superoperator (tomography, benchmarking, the cavity
-  pipeline) reduces them by a pairwise tree product, with no Python loop
-  over steps; a density-matrix trajectory applies the same maps to
-  vec(rho0) in sequence and keeps every node.
+* Lindblad: on a piece whose Hamiltonian is the same (exact ==) at every
+  RK4 node and midpoint, the Liouvillian L = -i[H, .] + sum_k D[L_k] is
+  constant and the channel is the one exact exponential exp(L (t1 - t0)),
+  an exactly CPTP map; a density-matrix trajectory then steps with the
+  exact exp(L dt), so it ends on the channel to rounding. Any other piece
+  (ramps, Gaussians) runs classic RK4 on dS/dt = L(t) S. L is linear, so
+  each RK4 step is a matrix S_{k+1} = M_k S_k built from the Liouvillians
+  at t_k, t_k + dt/2 and t_{k+1}; the maps are formed by batched matmuls,
+  a few MB of steps at a time. A channel superoperator (tomography,
+  benchmarking, the cavity pipeline) reduces them by a pairwise tree
+  product, with no Python loop over steps; a trajectory applies the same
+  maps to vec(rho0) in sequence and keeps every node.
 
 Schedules are integrated piecewise between segment boundaries and flat-top
 ramp edges so envelope kinks never fall inside a step; otherwise the
 integrator order degrades silently. A flat top is then a constant piece.
 CFM4 refuses a grid whose per-step phase max ||H||_inf dt over the Gauss
 nodes exceeds MAX_STEP_PHASE, even on a constant piece: beyond it the step
-unitaries no longer approximate the evolution. RK4 refuses one whose
-Liouvillian step (2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds the same
-bound, because the commutator's spectrum reaches 2 ||H|| and beyond the
-bound RK4 leaves its stability region.
+unitaries no longer approximate the evolution. The Lindblad path refuses
+one whose Liouvillian step (2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds
+the same bound, because the commutator's spectrum reaches 2 ||H|| and
+beyond the bound RK4 leaves its stability region. Both guards run before
+the constant-piece shortcut, so a grid is refused or accepted whatever its
+Hamiltonian's time dependence.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -43,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import model
 from .errors import (
@@ -58,8 +65,8 @@ from .pulses import GateSchedule
 DEFAULT_STEPS = 4096
 TRACE_TOL = 1e-6
 #: largest accepted per-step phase: ||H||_inf dt (rad) on CFM4's Gauss nodes,
-#: the Liouvillian bound (2 ||H||_inf + ||D||_inf) dt on RK4; below RK4's
-#: stability limit on the imaginary axis, 2 sqrt(2)
+#: the Liouvillian bound (2 ||H||_inf + ||D||_inf) dt on the Lindblad path;
+#: below RK4's stability limit on the imaginary axis, 2 sqrt(2)
 MAX_STEP_PHASE = 2.5
 
 #: Hamiltonian builders addressable by name: (callable, dimension)
@@ -327,33 +334,43 @@ def _rk4_maps(l_nodes: np.ndarray, l_mids: np.ndarray, dt: float) -> np.ndarray:
 _CHUNK_ENTRIES = 32 * 36 * 36
 
 
-def _step_maps(h, collapse_ops, grid: TimeGrid, dim: int):
-    """Yield the grid's RK4 step maps in order, in stacks of at most
-    _CHUNK_ENTRIES superoperator entries.
+def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid, dim: int):
+    """Dissipator and the node and midpoint Hamiltonian stacks of a Lindblad
+    grid, plus its constant Liouvillian (None unless H is the same, exact ==,
+    at every node and midpoint).
 
-    The Liouvillian step guard runs on the node and midpoint Hamiltonians
-    before the first map is built.
+    The Liouvillian step guard runs first, so a constant piece is refused
+    exactly where a stepped one is.
     """
-    dt = grid.dt
     diss = _dissipator(collapse_ops, dim)
     nodes, mids = _rk4_nodes(grid)
     h_nodes = _eval_hamiltonian(h, nodes, dim)
     h_mids = _eval_hamiltonian(h, mids, dim)
-    _check_liouvillian_step((h_nodes, h_mids), diss, dt)
+    _check_liouvillian_step((h_nodes, h_mids), diss, grid.dt)
+    flat = np.all(h_nodes == h_nodes[0]) and np.all(h_mids == h_nodes[0])
+    l_const = _liouvillians(h_nodes[:1], diss)[0] if flat else None
+    return diss, h_nodes, h_mids, l_const
+
+
+def _step_maps(diss: np.ndarray, h_nodes: np.ndarray, h_mids: np.ndarray, dt: float):
+    """Yield the grid's RK4 step maps in order, in stacks of at most
+    _CHUNK_ENTRIES superoperator entries."""
     chunk = max(1, _CHUNK_ENTRIES // diss.size)
-    for j in range(0, grid.steps, chunk):
+    for j in range(0, h_mids.shape[0], chunk):
         l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss)
         l_mids = _liouvillians(h_mids[j : j + chunk], diss)
         yield _rk4_maps(l_nodes, l_mids, dt)
 
 
 def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Fixed-step RK4 integration of the Lindblad equation.
+    """Fixed-step integration of the Lindblad equation on the grid nodes.
 
     Applies the same per-step maps as channel_superoperator to vec(rho0),
-    one node at a time, and returns the full trajectory on the grid nodes.
-    Raises StepTooLargeError if the trace drifts by more than 1e-6 anywhere
-    along the way.
+    one node at a time, and returns the full trajectory. On a constant piece
+    every step is the exact exp(L dt), so the trajectory ends where the
+    channel's exp(L (t1 - t0)) does, to rounding; otherwise the steps are
+    the RK4 maps. Raises StepTooLargeError if the trace drifts by more than
+    1e-6 anywhere along the way.
     """
     rho = np.asarray(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -361,10 +378,15 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
+    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid, dim)
+    if l_const is None:
+        chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
+    else:
+        chunks = [np.broadcast_to(expm(l_const * grid.dt), (grid.steps,) + diss.shape)]
     vecs = np.empty((grid.steps + 1, dim * dim), dtype=complex)
     vecs[0] = rho.reshape(-1)
     k = 0
-    for maps in _step_maps(h, collapse_ops, grid, dim):
+    for maps in chunks:
         for m in maps:
             vecs[k + 1] = m @ vecs[k]
             k += 1
@@ -379,15 +401,21 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
 
 
 def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
-    """RK4 channel superoperator (d^2, d^2) of the Lindblad equation.
+    """Channel superoperator (d^2, d^2) of the Lindblad equation.
 
-    RK4 on the linear Lindblad equation is a product of per-step maps; each
-    chunk of maps is reduced by the pairwise tree product, so no Python loop
-    runs over steps. The result equals propagating every input state.
+    After the Liouvillian step guard, a piece whose Hamiltonian is the same
+    at every RK4 node and midpoint is one exact exponential
+    exp(L (t1 - t0)), an exactly CPTP map. Otherwise RK4 on the linear
+    Lindblad equation is a product of per-step maps; each chunk of maps is
+    reduced by the pairwise tree product, so no Python loop runs over
+    steps. The result equals propagating every input state.
     """
     dim = _probe_dim(h, grid.t0)
+    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid, dim)
+    if l_const is not None:
+        return expm(l_const * (grid.t1 - grid.t0))
     s = np.eye(dim * dim, dtype=complex)
-    for maps in _step_maps(h, collapse_ops, grid, dim):
+    for maps in _step_maps(diss, h_nodes, h_mids, grid.dt):
         s = _ordered_product(maps) @ s
     return s
 

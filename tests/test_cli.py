@@ -196,6 +196,24 @@ class TestConfigValidation:
         assert code == 2
         assert f"{subcommand}.steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,key", [
+        ({"gate": "X_pi", "g_total_mhz": math.nan}, "cavity.g_total_mhz"),
+        ({"gate": {"theta": 1.0, "phi": math.nan}}, "cavity.gate.phi"),
+        ({"gate": {"theta": 1.0, "phi": math.inf}}, "cavity.gate.phi"),
+        ({"gate": {"theta": 1.0, "phi": 10**400}}, "cavity.gate.phi"),
+    ])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, block, key):
+        # unchecked, a NaN coupling crashes the default-coupling arithmetic
+        # and a non-finite phase surfaces as a misleading StepTooLargeError
+        path = write_config(tmp_path, {"schema_version": 1, "cavity": block})
+        with pytest.raises(ConfigError) as info:
+            cli.run("cavity", str(path), str(tmp_path / "out"))
+        assert info.value.path == key
+        code = cli.main(["cavity", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_unknown_subcommand(self, tmp_path):
         path = write_config(tmp_path, gate_config())
         with pytest.raises(ConfigError):
@@ -287,12 +305,15 @@ class TestDeterminism:
         grid_b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert grid_a == grid_b
 
-    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate"])
+    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate", "cavity"])
     def test_artifacts_independent_of_blas_threads(self, tmp_path, subcommand):
         # OpenBLAS may split one kernel across threads and change its
         # rounding, so each run is a fresh process with its own thread count
         if subcommand == "qpt":
             cfg = qpt_config(shots=200)
+        elif subcommand == "cavity":
+            cfg = {"schema_version": 1, "device": "paper-device",
+                   "cavity": {"gate": "X_pi"}}
         else:
             times = np.linspace(0.0, 60e-6, 300)
             values = 0.5 + np.exp(-times / 25e-6) * (
@@ -567,6 +588,60 @@ class TestSweepFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert 4 <= block["steps"] <= 256
+
+
+#: cavity numbers, mostly ordinary: also huge, tiny, non-finite and non-numeric
+CAVITY_NUMBERS = st.one_of(
+    st.floats(0.0, math.pi),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([math.inf, -math.inf, math.nan, None, "0.1", 10**400]),
+)
+
+
+@st.composite
+def cavity_configs(draw):
+    """Random cavity configs. As in sweep_blocks, valid steps above 256 are
+    not drawn; every other case runs through the whole CLI."""
+    gate = draw(st.one_of(
+        st.none(),
+        st.sampled_from(sorted(cli.CAVITY_GATES) + ["Y_pi", ""]),
+        st.fixed_dictionaries({"theta": CAVITY_NUMBERS},
+                              optional={"phi": CAVITY_NUMBERS}),
+    ))
+    block = {
+        "gate": gate,
+        "steps": draw(st.one_of(
+            st.integers(4, 256), st.integers(4, 256), st.integers(-8, 3),
+            st.integers(65537, 10**12),
+        )),
+    }
+    if draw(st.booleans()):
+        block["g_total_mhz"] = draw(st.one_of(
+            st.floats(1e-300, 1e300),
+            st.floats(0.05, 5.0),
+            st.sampled_from([math.nan, math.inf, 0.0, -1.0]),
+        ))
+    device = draw(st.sampled_from(["none", "paper-device"]))
+    return {"schema_version": 1, "device": device, "cavity": block}
+
+
+class TestCavityFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=cavity_configs())
+    def test_every_cavity_block_exits_cleanly(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["cavity", "--config", str(path), "--out",
+                                 str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert 4 <= cfg["cavity"]["steps"] <= 256
 
 
 
