@@ -35,7 +35,7 @@ half-loop pulse. Subcommand blocks:
                "detuning_mhz": {"min": -1, "max": 1, "count": 21},
                "steps": 128}
     cavity    {"gate": null | "X_pi" | {"theta": .., "phi": ..},
-               "g_total_mhz": null|float, "steps": 2048}
+               "g_total_mhz": null|float (only with a gate), "steps": 2048}
     calibrate {"kind": "rate_equation", "trace_g": .., "trace_e": ..,
                "trace_f": ..}  or  {"kind": "ramsey"|"rabi", "trace": ..,
                "detrend_degree": null|int}  or  {"kind": "chevron",
@@ -96,6 +96,17 @@ RB_STEPS = 512
 #: steps ceiling: 4x the finest reference budget (16384); a larger value
 #: would only allocate steps x d x d arrays without buying accuracy
 MAX_STEPS = 65536
+#: accepted envelope lengths (sigma_ns, total_ns) in ns: 1 ps to 1 ms spans
+#: every transmon drive and keeps segment edges far above the 1e-15 s below
+#: which the schedule drivers merge them
+ENVELOPE_NS = (1e-3, 1e6)
+#: accepted total_ns / sigma_ns: below, the truncated Gaussian is a parabola
+#: left by cancelling 1 - exp(-ratio^2 / 8); above, it is zero to rounding
+#: (exp(-32)) over all the extra window
+ENVELOPE_RATIO = (0.1, 16.0)
+#: largest accepted |gamma| and |phi| in rad: the half-loop phases are
+#: phi + gamma - pi, and beyond 1e3 rad that sum rounds by 1e-13 rad or more
+MAX_ANGLE = 1e3
 
 
 # ---- config plumbing ----
@@ -207,12 +218,19 @@ def _parse_envelope(block, path):
     _reject_unknown(block, {"sigma_ns", "total_ns"}, path)
     sigma_ns = _field(block, "sigma_ns", path, "number")
     total_ns = _field(block, "total_ns", path, "number", default=None, allow_none=True)
-    if sigma_ns <= 0:
-        raise ConfigError(f"must be positive, got {sigma_ns}", _join(path, "sigma_ns"))
-    if total_ns is not None and total_ns <= 0:
-        raise ConfigError(f"must be positive, got {total_ns}", _join(path, "total_ns"))
-    total = None if total_ns is None else total_ns * 1e-9
-    return TruncatedGaussian(sigma=sigma_ns * 1e-9, total=total)
+    lo, hi = ENVELOPE_NS
+    for key, value in (("sigma_ns", sigma_ns), ("total_ns", total_ns)):
+        if value is not None and not lo <= value <= hi:
+            raise ConfigError(f"must be in [{lo:g}, {hi:g}] ns, got {value}", _join(path, key))
+    if total_ns is None:
+        return TruncatedGaussian(sigma=sigma_ns * 1e-9)
+    lo, hi = ENVELOPE_RATIO
+    if not lo <= total_ns / sigma_ns <= hi:
+        raise ConfigError(
+            f"total_ns / sigma_ns = {total_ns / sigma_ns:.3g} is outside [{lo:g}, {hi:g}]",
+            _join(path, "total_ns"),
+        )
+    return TruncatedGaussian(sigma=sigma_ns * 1e-9, total=total_ns * 1e-9)
 
 
 def _parse_gate_params(block, path):
@@ -235,6 +253,9 @@ def _parse_gate_params(block, path):
     theta = _field(block, "theta", path, "number")
     gamma = _field(block, "gamma", path, "number")
     phi = _field(block, "phi", path, "number", default=0.0)
+    for key, value in (("gamma", gamma), ("phi", phi)):
+        if not abs(value) <= MAX_ANGLE:
+            raise ConfigError(f"must be within +-{MAX_ANGLE:g} rad, got {value}", _join(path, key))
     try:
         params = HolonomicParams(theta, gamma, phi)
     except HolosimError as exc:
@@ -452,6 +473,11 @@ def _run_cavity(cfg, ctx: RunContext):
                          default=None, allow_none=True)
     if g_total_mhz is not None and g_total_mhz <= 0:
         raise ConfigError(f"must be positive, got {g_total_mhz}", "cavity.g_total_mhz")
+    if g_total_mhz is not None and gate is None:
+        raise ConfigError(
+            "the identity run (gate null) drives no coupling; drop the key or give a gate",
+            "cavity.g_total_mhz",
+        )
     g_total = None if g_total_mhz is None else TWO_PI * 1e6 * g_total_mhz
     steps = _parse_steps(block, "cavity", sw.PIPELINE_STEPS)
     dev, _, devname = _resolve_device(cfg)

@@ -9,11 +9,12 @@ duration/4096:
   weighted Hamiltonians at the Gauss nodes c_1,2 = 1/2 -+ sqrt(3)/6; the
   one applied first is exp(-i dt [(1/4 + sqrt(3)/6) H(c1) +
   (1/4 - sqrt(3)/6) H(c2)]), and with the two swapped the scheme is only
-  second order. All exponentials are done by batched Hermitian
-  eigendecompositions and reduced by a pairwise tree product. The
-  Hamiltonian stack may carry leading batch axes (a block of sweep cells
-  runs the same code as one schedule), and a grid whose Hamiltonian is
-  constant is one exact exponential;
+  second order. The exponentials are operators.expm_hermitian (a closed
+  form, entry by entry, for qutrit spaces; a batched Hermitian
+  eigendecomposition for six-level ones), reduced by a pairwise tree
+  product. The Hamiltonian stack may carry leading batch axes (a block of
+  sweep cells runs the same code as one schedule), and a grid whose
+  Hamiltonian is constant is one exact exponential;
 * Lindblad: on a piece whose Hamiltonian is the same (exact ==) at every
   RK4 node and midpoint, the Liouvillian L = -i[H, .] + sum_k D[L_k] is
   constant and the channel is the one exact exponential exp(L (t1 - t0)),

@@ -14,6 +14,7 @@ rotations about axes in the xz plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,9 +53,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
 # ---- predicates and validators ----
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Every |a[..., j, k] - conj(a[..., k, j])| <= tol (nan fails).
+
+    Checked pair by pair on the upper triangle: on stacks of small matrices
+    that is several times faster than forming a - dagger(a).
+    """
     a = np.asarray(a)
-    return a.shape[-1] == a.shape[-2] and bool(
-        np.all(np.abs(a - dagger(a)) <= tol)
+    d = a.shape[-1]
+    if d != a.shape[-2]:
+        return False
+    return all(
+        np.all(np.abs(a[..., j, k] - np.conj(a[..., k, j])) <= tol)
+        for j in range(d)
+        for k in range(j, d)
     )
 
 
@@ -71,16 +82,6 @@ def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matr
     if not is_unitary(a, tol):
         raise NonUnitaryInputError(f"{what} is not unitary within {tol:.1e}")
     return a
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> bool:
-    rho = np.asarray(rho)
-    if rho.shape[0] != rho.shape[1] or not is_hermitian(rho, tol):
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol:
-        return False
-    evals = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    return bool(evals.min() > -tol)
 
 
 # ---- operator bases ----
@@ -218,18 +219,98 @@ def gf_block(u3: np.ndarray) -> np.ndarray:
     return u3[np.ix_((0, 2), (0, 2))]
 
 
-def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
-    """exp(prefactor * h) for Hermitian h via eigendecomposition.
+#: below this c1 = tr(Q^2)/2 the 3x3 closed form sums the Taylor series: there
+#: every eigenvalue of Q is at most 2 sqrt(c1/3) < 0.116 in modulus, so the
+#: terms past Q^_SERIES_TERMS stay under 2e-18 (every sweep exponent at
+#: SWEEP_STEPS lies below it)
+_SERIES_C1 = 1e-2
+_SERIES_TERMS = 10
 
-    Accepts stacked input of shape (..., d, d) and exponentiates every slice;
-    this is the hot path of the unitary propagator.
+
+def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
+    """exp(prefactor * h) for Hermitian h, a single (d, d) matrix or a stack
+    (..., d, d) exponentiated slice by slice; the hot path of the unitary
+    propagator.
+
+    For d = 3 and a purely imaginary prefactor i s this is the closed form of
+    Morningstar & Peardon (PRD 69, 054501 (2004)). The trace leaves as the
+    phase exp(i s tr(h)/3); for the traceless Q = s (h - tr(h)/3 I),
+    Cayley-Hamilton (Q^3 = c1 Q + c0 I with c0 = det Q, c1 = tr(Q^2)/2)
+    gives exp(iQ) = f0 I + f1 Q + f2 Q^2. Below c1 = _SERIES_C1 the f_j sum
+    the Taylor series of exp(iQ) reduced by Cayley-Hamilton; above it they
+    are Morningstar & Peardon's, with u -> -u standing in for c0 < 0 so that
+    their denominator 9u^2 - w^2 stays above 2 c1. Q^2, c0 and c1 are
+    written out entry by entry from the diagonal and the three upper
+    entries, with no matmul, det or eigh, so each matrix's bits depend
+    neither on the BLAS thread count nor on the stack it sits in.
+
+    Any other d or prefactor (the six-level cavity spaces) takes a batched
+    Hermitian eigendecomposition.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, HERMITICITY_TOL * 100):
         raise NonHermitianInputError("expm_hermitian requires a Hermitian matrix")
-    evals, vecs = np.linalg.eigh(h)
-    phases = np.exp(prefactor * evals)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, phases, vecs.conj())
+    if h.shape[-1] != 3 or np.ndim(prefactor) or complex(prefactor).real != 0:
+        evals, vecs = np.linalg.eigh(h)
+        phases = np.exp(prefactor * evals)
+        return np.einsum("...ij,...j,...kj->...ik", vecs, phases, vecs.conj())
+
+    s = complex(prefactor).imag
+    m = h.reshape(-1, 9)  # row-major entries h00 h01 h02 h10 h11 h12 h20 h21 h22
+    diag = m[:, 0::4].real
+    mean = diag.mean(axis=1)
+    x0, x1, x2 = (s * (diag[:, k] - mean) for k in range(3))
+    a, b, c = s * m[:, 1], s * m[:, 2], s * m[:, 5]  # Q01, Q02, Q12
+    aa, bb, cc = (z.real * z.real + z.imag * z.imag for z in (a, b, c))
+    # the six distinct entries of the Hermitian Q^2, using x0 + x1 + x2 = 0
+    p00, p11, p22 = x0 * x0 + aa + bb, x1 * x1 + aa + cc, x2 * x2 + bb + cc
+    p01, p02, p12 = b * c.conj() - x2 * a, a * c - x1 * b, a.conj() * b - x0 * c
+    c1 = 0.5 * (p00 + p11 + p22)
+    c0 = x0 * x1 * x2 + 2.0 * (a * c * b.conj()).real - x0 * cc - x1 * bb - x2 * aa
+
+    f = np.empty((3, c1.size), dtype=complex)
+    small = c1 < _SERIES_C1
+    if np.any(small):
+        # Q^k = A I + B Q + C Q^2, from Q^2 on by Q^(k+1) = c0 C I + (A + c1 C) Q + B Q^2;
+        # i^k / k! sends even k to the real parts, odd k to the imaginary ones
+        k0, k1 = c0[small], c1[small]
+        one, zero = np.ones_like(k0), np.zeros_like(k0)
+        re, im = [one, zero, -0.5 * one], [zero, one, zero]
+        cur = (zero, zero, one)
+        for k in range(3, _SERIES_TERMS + 1):
+            cur = (k0 * cur[2], cur[0] + k1 * cur[2], cur[1])
+            weight = (-1.0) ** (k // 2) / math.factorial(k)
+            acc = re if k % 2 == 0 else im
+            for j in range(3):
+                acc[j] = acc[j] + weight * cur[j]
+        for j in range(3):
+            f[j, small] = re[j] + 1j * im[j]
+    large = ~small
+    if np.any(large):
+        k0, k1 = c0[large], c1[large]
+        r = np.sqrt(k1 / 3.0)  # c0max = 2 r^3, eigenvalues -2u and u +- w
+        theta = np.arccos(np.minimum(np.abs(k0) / (2.0 * r * r * r), 1.0))
+        u = np.copysign(r * np.cos(theta / 3.0), k0)
+        w = np.sqrt(k1) * np.sin(theta / 3.0)
+        xi = np.sinc(w / np.pi)  # sin(w) / w
+        cw = np.cos(w)
+        uu, ww = u * u, w * w
+        e2, em = np.exp(2j * u), np.exp(-1j * u)
+        den = 9.0 * uu - ww
+        f[0, large] = ((uu - ww) * e2 + em * (8.0 * uu * cw + 2j * u * (3.0 * uu + ww) * xi)) / den
+        f[1, large] = (2.0 * u * e2 - em * (2.0 * u * cw - 1j * (3.0 * uu - ww) * xi)) / den
+        f[2, large] = (e2 - em * (cw + 3j * u * xi)) / den
+    f *= np.exp(1j * s * mean)
+
+    f0, f1, f2 = f
+    out = np.empty((c1.size, 9), dtype=complex)
+    pairs = ((x0, p00), (a, p01), (b, p02), (a.conj(), p01.conj()), (x1, p11),
+             (c, p12), (b.conj(), p02.conj()), (c.conj(), p12.conj()), (x2, p22))
+    for k, (qk, pk) in enumerate(pairs):
+        np.multiply(f1, qk, out=out[:, k])
+        out[:, k] += f2 * pk
+    out[:, 0::4] += f0[:, None]
+    return out.reshape(h.shape)
 
 
 # ---- phase-insensitive comparisons ----

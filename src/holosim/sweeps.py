@@ -170,9 +170,11 @@ class CrosstalkGrid:
 
 
 #: step matrices per block of sweep cells: a block holds
-#: max(1, _BLOCK_MATRICES // (2 steps)) cells (8 at SWEEP_STEPS), and a cell
-#: above the budget is still exponentiated in stacks of at most 2048 matrices
-_BLOCK_MATRICES = 2048
+#: max(1, _BLOCK_MATRICES // (2 steps)) cells (32 at SWEEP_STEPS), and a cell
+#: above the budget is still exponentiated in stacks of at most 2048 matrices.
+#: Blocks this large keep a 2-thread pool from contending for the interpreter
+#: lock over the many small elementwise calls of the 3x3 exponential
+_BLOCK_MATRICES = 8192
 
 
 def _block_fidelities(u: np.ndarray, chi_t: np.ndarray) -> np.ndarray:

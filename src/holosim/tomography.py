@@ -14,6 +14,7 @@ loss in, F_unatt divides it out.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -116,11 +117,13 @@ def rotation(transition: str, angle: float, axis_phase: float = 0.0) -> np.ndarr
     return expm_hermitian(gen, prefactor=-1j * angle / 2.0)
 
 
+@functools.cache
 def prerotations() -> tuple[np.ndarray, ...]:
     """The nine pre-rotation unitaries, composed right to left.
 
     The rightmost factor fires first; measuring |g><g| after U_k is the same
-    as projecting the pre-measurement state onto U_k^dag|g>.
+    as projecting the pre-measurement state onto U_k^dag|g>. Built once per
+    process (a QPT run asks for them three times) and read-only.
     """
     x90_ge = rotation("ge", math.pi / 2.0)
     y90_ge = rotation("ge", math.pi / 2.0, axis_phase=-math.pi / 2.0)
@@ -128,7 +131,7 @@ def prerotations() -> tuple[np.ndarray, ...]:
     x90_ef = rotation("ef", math.pi / 2.0)
     y90_ef = rotation("ef", math.pi / 2.0, axis_phase=-math.pi / 2.0)
     x180_ef = rotation("ef", math.pi)
-    return (
+    rotations = (
         np.eye(3, dtype=complex),
         x90_ge,
         y90_ge,
@@ -139,6 +142,9 @@ def prerotations() -> tuple[np.ndarray, ...]:
         x180_ge @ y90_ef,
         x180_ge @ x180_ef,
     )
+    for u in rotations:
+        u.setflags(write=False)
+    return rotations
 
 
 # ---- measurement records ----

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import holosim
@@ -305,7 +305,7 @@ class TestDeterminism:
         grid_b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert grid_a == grid_b
 
-    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate", "cavity"])
+    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate", "cavity", "sweep"])
     def test_artifacts_independent_of_blas_threads(self, tmp_path, subcommand):
         # OpenBLAS may split one kernel across threads and change its
         # rounding, so each run is a fresh process with its own thread count
@@ -314,6 +314,12 @@ class TestDeterminism:
         elif subcommand == "cavity":
             cfg = {"schema_version": 1, "device": "paper-device",
                    "cavity": {"gate": "X_pi"}}
+        elif subcommand == "sweep":
+            cfg = {"schema_version": 1, "sweep": {
+                "family": "holonomic", "gate": "H",
+                "epsilon": {"min": -0.1, "max": 0.1, "count": 5},
+                "detuning_mhz": {"min": -1.0, "max": 1.0, "count": 5},
+            }}
         else:
             times = np.linspace(0.0, 60e-6, 300)
             values = 0.5 + np.exp(-times / 25e-6) * (
@@ -590,6 +596,77 @@ class TestSweepFuzz:
             assert 4 <= block["steps"] <= 256
 
 
+#: gate numbers: mostly in range, also out of it, huge, non-finite, non-numeric
+GATE_NUMBERS = st.one_of(
+    st.floats(0.0, math.pi),
+    st.floats(0.0, math.pi),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e300, -1e300, 10**400, math.inf, -math.inf, math.nan,
+                     None, "0.1", [0.1], True]),
+)
+#: envelope lengths in ns: mostly ordinary, also tiny, huge, non-positive,
+#: non-numeric
+ENVELOPE_NUMBERS = st.one_of(
+    st.floats(1.0, 100.0),
+    st.floats(1.0, 100.0),
+    st.floats(1e-300, 1e300),
+    st.sampled_from([1e-300, 0.0, -5.0, 1e300, 10**400, math.inf, math.nan,
+                     None, "10"]),
+)
+
+
+@st.composite
+def gate_blocks(draw):
+    """Random gate blocks: a name, raw angles, both or neither, an optional
+    envelope, and steps. As in sweep_blocks, valid steps above 256 are not
+    drawn; every other case runs through the whole CLI."""
+    block = {"steps": draw(st.one_of(
+        st.integers(4, 256), st.integers(4, 256), st.integers(-8, 3),
+        st.integers(cli.MAX_STEPS + 1, 10**12),
+    ))}
+    kind = draw(st.sampled_from(["name", "angles", "angles", "both", "neither"]))
+    if kind in ("name", "both"):
+        block["name"] = draw(st.sampled_from(
+            sorted(cli.QUBIT_GATES) + ["h", "", None, 1, [1]]
+        ))
+    if kind in ("angles", "both"):
+        for key in ("theta", "gamma", "phi"):
+            if key != "phi" or draw(st.booleans()):
+                block[key] = draw(GATE_NUMBERS)
+    if draw(st.booleans()):
+        block["envelope"] = draw(st.fixed_dictionaries(
+            {"sigma_ns": ENVELOPE_NUMBERS}, optional={"total_ns": ENVELOPE_NUMBERS}
+        ))
+    return block
+
+
+class TestGateFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=gate_blocks())
+    # unbounded envelopes and angles: a traceback, then two plausible misses
+    @example(block={"steps": 64, "name": "H", "envelope": {"sigma_ns": 10.0, "total_ns": 1e300}})
+    @example(block={"steps": 64, "name": "H", "envelope": {"sigma_ns": 1e-12}})
+    @example(block={"steps": 64, "theta": 1.0, "gamma": 1e300})
+    def test_every_gate_block_exits_cleanly(self, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({"schema_version": 1, "gate": block}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["gate", "--config", str(path), "--out",
+                                 str(Path(tmp) / "out")])
+                report = Path(tmp) / "out" / "gate_report.json"
+                fidelity = json.loads(report.read_text())["fidelity"] if code == 0 else None
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            # an accepted block synthesizes its gate: no plausible-looking miss
+            assert 4 <= block["steps"] <= 256
+            assert fidelity > 1.0 - 1e-5
+
+
 #: cavity numbers, mostly ordinary: also huge, tiny, non-finite and non-numeric
 CAVITY_NUMBERS = st.one_of(
     st.floats(0.0, math.pi),
@@ -675,6 +752,17 @@ class TestCavityCommand:
         res_a = json.loads((tmp_path / "a" / "cavity.json").read_text())
         res_b = json.loads((tmp_path / "b" / "cavity.json").read_text())
         assert abs(res_a["fidelity_att"] - res_b["fidelity_att"]) < 1e-9
+
+    def test_coupling_without_a_gate_exits_two(self, tmp_path, capsys):
+        # the identity run swaps nothing, so a coupling it would ignore is refused
+        cfg = {"schema_version": 1, "cavity": {"gate": None, "g_total_mhz": 1e-300}}
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run("cavity", str(path), str(tmp_path / "out"))
+        assert info.value.path == "cavity.g_total_mhz"
+        code = cli.main(["cavity", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cavity.g_total_mhz" in capsys.readouterr().err
 
     def test_raw_angle_gate_and_identity(self, tmp_path):
         cfg = {

@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from holosim import operators as op
 from holosim.errors import (
     DimensionMismatchError,
+    NonHermitianInputError,
     NonUnitaryInputError,
 )
 
@@ -49,12 +52,6 @@ class TestBasics:
         assert not op.is_unitary(h + np.eye(3) * 5)
         with pytest.raises(NonUnitaryInputError):
             op.require_unitary(2.0 * u)
-
-    def test_is_density_matrix(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert op.is_density_matrix(rho)
-        assert not op.is_density_matrix(np.diag([1.5, -0.5, 0.0]))
-        assert not op.is_density_matrix(np.diag([0.5, 0.5, 0.5]))
 
 
 class TestBases:
@@ -159,6 +156,109 @@ class TestExpm:
         for _ in range(6):
             u = op.expm_hermitian(random_hermitian(rng, 3))
             assert op.is_unitary(u, tol=1e-12)
+
+    # ---- the 3x3 closed form (d = 3, imaginary prefactor) ----
+
+    @staticmethod
+    def spectrum_hamiltonians(rng, evals):
+        """The diagonal matrix of evals and three random unitary rotations of it."""
+        d = np.diag(np.asarray(evals, dtype=float)).astype(complex)
+        return [d] + [
+            (u * np.asarray(evals)) @ u.conj().T
+            for u in (random_unitary(rng, 3) for _ in range(3))
+        ]
+
+    @staticmethod
+    def assert_matches_expm(h, tol=1e-14):
+        h = (h + h.conj().T) / 2.0
+        for t in (1.0, -0.7):
+            u = op.expm_hermitian(h, prefactor=-1j * t)
+            assert np.max(np.abs(u - scipy.linalg.expm(-1j * t * h))) < tol
+
+    def test_closed_form_on_degenerate_spectra(self):
+        rng = np.random.default_rng(61)
+        assert np.array_equal(op.expm_hermitian(np.zeros((3, 3))), np.eye(3))
+        for lam in (1e-9, 1e-3, 0.07, 0.4, 1.3, 2.5):
+            spectra = [
+                (lam, 0.0, -lam),  # Lambda system: c0 = 0
+                (lam, lam, -2 * lam),  # c0 = -c0max
+                (-lam, -lam, 2 * lam),  # c0 = +c0max
+                (lam, lam, lam),  # a multiple of the identity: Q = 0
+                (lam + 1.0, lam + 1.0, 1.0 - lam),  # a repeated pair off zero trace
+                (lam, lam * (1 + 1e-9), -2 * lam),  # a nearly repeated pair
+                (2 * lam, -0.3 * lam, 0.9 * lam),  # diagonal with no symmetry
+            ]
+            for evals in spectra:
+                for h in self.spectrum_hamiltonians(rng, evals):
+                    self.assert_matches_expm(h)
+
+    def test_closed_form_on_both_sides_of_the_series_switch(self, monkeypatch):
+        # c1 = tr(Q^2)/2 of a traceless h with prefactor -i is (sum evals^2)/2
+        rng = np.random.default_rng(67)
+        evals = np.array([1.0, -0.2, -0.8])
+        at_switch = evals * math.sqrt(2 * op._SERIES_C1 / np.sum(evals**2))
+        for factor in (1 - 1e-12, 1 + 1e-12, 0.5, 2.0, 1e-4, 1e-8):
+            for h in self.spectrum_hamiltonians(rng, factor * at_switch):
+                self.assert_matches_expm(h)
+        # the series and the closed form agree on one matrix at the switch
+        h = self.spectrum_hamiltonians(rng, (1 - 1e-12) * at_switch)[1]
+        series = op.expm_hermitian(h)
+        monkeypatch.setattr(op, "_SERIES_C1", 0.0)
+        assert np.max(np.abs(op.expm_hermitian(h) - series)) < 1e-15
+
+    def test_closed_form_unitary_and_accurate_up_to_five_rad(self):
+        rng = np.random.default_rng(71)
+        for norm in np.geomspace(1e-6, 5.0, 40):
+            h = random_hermitian(rng, 3)
+            h *= norm / np.abs(h).sum(axis=1).max()
+            self.assert_matches_expm(h)
+            u = op.expm_hermitian(h)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-14
+
+    def test_closed_form_batch_axes_bit_identical_to_single_calls(self):
+        # norms spanning both branches, so one stack mixes series and closed form
+        rng = np.random.default_rng(73)
+        hs = np.array([random_hermitian(rng, 3) for _ in range(24)])
+        hs *= np.geomspace(1e-5, 4.0, 24)[:, None, None]
+        stack = op.expm_hermitian(hs.reshape(2, 3, 4, 3, 3), prefactor=-0.3j)
+        singles = np.array([op.expm_hermitian(h, prefactor=-0.3j) for h in hs])
+        assert np.array_equal(stack.reshape(24, 3, 3), singles)
+
+    def test_closed_form_large_phases_no_worse_than_eigh(self):
+        # constant pieces exponentiate a whole grid, so phases reach 1e2-1e4 rad
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(79)
+        with mpmath.workdps(40):
+            for norm in (1e2, 1e3, 1e4):
+                err_closed, err_eigh = [], []
+                for _ in range(12):
+                    h = random_hermitian(rng, 3)
+                    h *= norm / np.abs(h).sum(axis=1).max()
+                    exact = mpmath.expm(mpmath.matrix(h.tolist()) * (-1j))
+                    exact = np.array(exact.tolist(), dtype=complex)
+                    evals, vecs = np.linalg.eigh(h)
+                    by_eigh = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+                    err_closed.append(np.max(np.abs(op.expm_hermitian(h) - exact)))
+                    err_eigh.append(np.max(np.abs(by_eigh - exact)))
+                assert max(err_closed) <= max(err_eigh)
+
+    def test_other_prefactors_and_dimensions_take_eigh(self):
+        rng = np.random.default_rng(83)
+        h3, h6 = random_hermitian(rng, 3), random_hermitian(rng, 6)
+        for h, prefactor in ((h3, -0.5), (h3, 0.2 - 1j), (h6, -1j)):
+            u = op.expm_hermitian(h, prefactor=prefactor)
+            assert np.max(np.abs(u - scipy.linalg.expm(prefactor * h))) < 1e-12
+
+    def test_rejects_a_stack_with_one_non_hermitian_lower_entry(self):
+        # the closed form reads only the upper triangle; the check reads both
+        rng = np.random.default_rng(89)
+        hs = np.array([random_hermitian(rng, 3) for _ in range(5)])
+        hs[3, 2, 0] += 1e-6
+        with pytest.raises(NonHermitianInputError):
+            op.expm_hermitian(hs)
+        hs[3, 2, 0] = np.nan
+        with pytest.raises(NonHermitianInputError):
+            op.expm_hermitian(hs)
 
 
 class TestDistances:
