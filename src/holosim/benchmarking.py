@@ -10,11 +10,12 @@ gate under test after every Clifford. Survival decays as F = A p^m + B, and
 
 turn the decay constants into per-Clifford and per-gate fidelities.
 
-Sequence bookkeeping runs on the integer Clifford group
-(holonomic.clifford_group): a string is composed through the Cayley table
-and its recovery is read from the inverse table, with no 2x2 algebra. The
-survivals of all k sequences of one length are computed together, one
-string position at a time, on the stacked channels of the drawn elements.
+A Clifford string is a list of indices into the integer Clifford group
+(holonomic.clifford_group) from draw to survival: it is composed through
+the Cayley table and its recovery is read from the inverse table, with no
+2x2 algebra, and the same indices pick the channels from the stack built in
+group order. The survivals of all k sequences of one length are computed
+together, one string position at a time.
 """
 
 from __future__ import annotations
@@ -151,59 +152,40 @@ class RbRun:
         write_json(path, payload)
 
 
-def random_sequence(
-    m: int,
-    seed,
-    table: tuple[HolonomicParams, ...] | None = None,
-    interleave: HolonomicParams | None = None,
-):
-    """m uniform Clifford draws plus the recovery element closing the string.
+def random_sequence(m: int, seed, interleave: int | None = None):
+    """(draws, recovery): m uniform Clifford draws and the element closing them.
 
-    With ``interleave`` (any Clifford) set, the recovery inverts the string
-    with the extra gate inserted after every Clifford (the returned list
-    still holds only the random draws). The string is composed through the
-    Clifford group's Cayley table and the recovery read from its inverse
-    table, so it is exact; ``table`` must be clifford_table(), whose indices
-    those tables use.
+    All are clifford_group() indices. ``draws`` is the int array drawn from
+    ``np.random.default_rng(seed)``. With ``interleave`` (a group index)
+    set, the recovery inverts the string with that element inserted after
+    every draw; ``draws`` still holds only the random draws. The string is
+    composed through the Cayley table and the recovery read from the
+    inverse table, so it is exact.
     """
     if m < 1:
         raise OutOfRangeError(f"sequence length must be >= 1, got {m}")
     group = clifford_group()
-    if table is None:
-        table = group.elements
-    elif table is not group.elements and tuple(table) != group.elements:
-        raise OutOfRangeError(
-            "table must be clifford_table(): recoveries come from its group tables"
-        )
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, len(table), size=m).tolist()
-    gate = None
-    if interleave is not None:
-        gate = group.positions.get(interleave)
-        if gate is None:
-            gate = _group_index(interleave)
+    draws = np.random.default_rng(seed).integers(0, len(group.elements), size=m)
     product = group.identity
-    for i in indices:
+    for i in draws.tolist():
         product = group.cayley[i, product]
-        if gate is not None:
-            product = group.cayley[gate, product]
-    return [table[i] for i in indices], table[group.inverse[product]]
+        if interleave is not None:
+            product = group.cayley[interleave, product]
+    return draws, int(group.inverse[product])
 
 
-def survival_probability(superops, rho0: np.ndarray | None = None) -> float | np.ndarray:
-    """Ground-state population after applying the superoperators in order.
+def survival_probability(superops) -> float | np.ndarray:
+    """Ground-state population of the qutrit prepared in |g><g| after
+    applying the superoperators in order.
 
-    Each superoperator is one (d^2, d^2) map or a (k, d^2, d^2) stack holding
-    one map per sequence. With any stack the k sequences run together and
-    the result is an array of k survivals, otherwise a float. np.matmul
-    applies a stack with the same arithmetic as one ``sup @ v`` per
-    sequence, so a batched survival equals its single-sequence value bit for
-    bit.
+    Each superoperator is one (9, 9) map or a (k, 9, 9) stack holding one
+    map per sequence. With any stack the k sequences run together and the
+    result is an array of k survivals, otherwise a float. np.matmul applies
+    a stack with the same arithmetic as one ``sup @ v`` per sequence, so a
+    batched survival equals its single-sequence value bit for bit.
     """
-    if rho0 is None:
-        rho0 = np.zeros((3, 3), dtype=complex)
-        rho0[0, 0] = 1.0
-    v = np.asarray(rho0, dtype=complex).reshape(-1, 1)
+    v = np.zeros((9, 1), dtype=complex)
+    v[0, 0] = 1.0
     for sup in superops:
         v = np.matmul(sup, v)
     ground = v[..., 0, 0].real
@@ -216,25 +198,28 @@ def _gate_channel(cfg: RbConfig, params: HolonomicParams) -> np.ndarray:
     )
 
 
+def _channels(stack, strings, gate_channel):
+    """The channels of ``strings`` (k, m + 1) position by position, with
+    ``gate_channel`` after every draw; one (k, 9, 9) gather held at a time."""
+    for column in strings[:, :-1].T:
+        yield stack[column]
+        if gate_channel is not None:
+            yield gate_channel
+    yield stack[strings[:, -1]]
+
+
 def _survivals(cfg: RbConfig, stack, stream: int, interleave, gate_channel) -> np.ndarray:
-    """(n_lengths, k) survivals; the k sequences of one length run as a batch
-    on ``stack``, the channels of the Clifford table in table order."""
-    positions = clifford_group().positions
+    """(n_lengths, k) survivals; the k strings of one length run as a batch
+    on ``stack``, the channels of the Clifford group in index order.
+    ``interleave`` is the group index of the interleaved gate or None."""
     survivals = np.empty((len(cfg.lengths), cfg.k))
     for mi, m in enumerate(cfg.lengths):
         strings = np.empty((cfg.k, m + 1), dtype=int)  # m draws, then the recovery
         for j in range(cfg.k):
-            draws, recovery = random_sequence(
-                m, [cfg.seed, stream, m, j], interleave=interleave
+            strings[j, :m], strings[j, m] = random_sequence(
+                m, [cfg.seed, stream, m, j], interleave
             )
-            strings[j] = [positions[p] for p in draws] + [positions[recovery]]
-        ops = []
-        for column in strings[:, :-1].T:
-            ops.append(stack[column])
-            if gate_channel is not None:
-                ops.append(gate_channel)
-        ops.append(stack[strings[:, -1]])
-        survivals[mi] = survival_probability(ops)
+        survivals[mi] = survival_probability(_channels(stack, strings, gate_channel))
     return survivals
 
 
@@ -270,7 +255,7 @@ def run_rb(cfg: RbConfig) -> RbRun:
         gate_channel = stack[gate_index]
     else:  # the same Clifford up to phase, realized by another loop
         gate_channel = _gate_channel(cfg, gate_params)
-    interleaved = record(_survivals(cfg, stack, 1, table[gate_index], gate_channel))
+    interleaved = record(_survivals(cfg, stack, 1, gate_index, gate_channel))
     return RbRun(
         reference=reference,
         interleaved=interleaved,

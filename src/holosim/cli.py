@@ -96,9 +96,14 @@ RB_STEPS = 512
 #: steps ceiling: 4x the finest reference budget (16384); a larger value
 #: would only allocate steps x d x d arrays without buying accuracy
 MAX_STEPS = 65536
+#: ceilings on rb.m_max, each rb.lengths entry and their number (0.992^1000
+#: = 3e-4 ends any decay worth fitting), on rb.k (1000 randomizations put a
+#: mean's standard error at 3% of its spread), and on qpt.shots and --shots
+#: (1e12 shots resolve a probability to 5e-7; counts stay exact floats)
+MAX_RB_LENGTH = MAX_RB_K = 1000
+MAX_SHOTS = 10**12
 #: accepted envelope lengths (sigma_ns, total_ns) in ns: 1 ps to 1 ms spans
-#: every transmon drive and keeps segment edges far above the 1e-15 s below
-#: which the schedule drivers merge them
+#: every transmon drive
 ENVELOPE_NS = (1e-3, 1e6)
 #: accepted total_ns / sigma_ns: below, the truncated Gaussian is a parabola
 #: left by cancelling 1 - exp(-ratio^2 / 8); above, it is zero to rounding
@@ -201,13 +206,11 @@ def _resolve_error(cfg) -> md.ControlError:
     return md.ControlError(epsilon=eps, detuning=TWO_PI * 1e6 * det_mhz)
 
 
-def _parse_steps(block, path, default: int) -> int:
-    steps = _field(block, "steps", path, "int", default=default)
-    if not 4 <= steps <= MAX_STEPS:
-        raise ConfigError(
-            f"must be in [4, {MAX_STEPS}], got {steps}", _join(path, "steps")
-        )
-    return steps
+def _bounded_int(block, key, path, default: int, lo: int, hi: int) -> int:
+    value = _field(block, key, path, "int", default=default)
+    if not lo <= value <= hi:
+        raise ConfigError(f"must be in [{lo}, {hi}], got {value}", _join(path, key))
+    return value
 
 
 def _parse_envelope(block, path):
@@ -307,7 +310,7 @@ def _run_gate(cfg, ctx: RunContext):
         {k: v for k, v in block.items() if k != "steps"}, "gate"
     )
     env = _parse_envelope(block.get("envelope"), "gate.envelope")
-    steps = _parse_steps(block, "gate", GATE_STEPS)
+    steps = _bounded_int(block, "steps", "gate", GATE_STEPS, 4, MAX_STEPS)
     _, noise, devname = _resolve_device(cfg)
     err = _resolve_error(cfg)
 
@@ -342,11 +345,11 @@ def _run_qpt(cfg, ctx: RunContext):
     params, label = _parse_gate_params(gate_block, "qpt.gate")
     env = _parse_envelope(gate_block.get("envelope"), "qpt.gate.envelope")
     shots = _field(block, "shots", "qpt", "int", default=None, allow_none=True)
-    if shots is not None and shots < 1:
-        raise ConfigError(f"must be >= 1 or null, got {shots}", "qpt.shots")
+    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"must be in [1, {MAX_SHOTS}] or null, got {shots}", "qpt.shots")
     mle = _field(block, "mle", "qpt", "bool", default=None, allow_none=True)
     project = _field(block, "project", "qpt", "bool", default=None, allow_none=True)
-    steps = _parse_steps(block, "qpt", QPT_STEPS)
+    steps = _bounded_int(block, "steps", "qpt", QPT_STEPS, 4, MAX_STEPS)
     _, noise, devname = _resolve_device(cfg)
     err = _resolve_error(cfg)
     if ctx.exact_override:
@@ -382,18 +385,14 @@ def _run_rb(cfg, ctx: RunContext):
     if "lengths" in block and "m_max" in block:
         raise ConfigError("give either lengths or m_max, not both", "rb.lengths")
     if "lengths" in block:
-        raw = _field(block, "lengths", "rb", "list")
-        if not raw or not all(_KINDS["int"](m) and m >= 1 for m in raw):
-            raise ConfigError("must be a non-empty list of integers >= 1", "rb.lengths")
-        lengths = tuple(raw)
+        lengths = tuple(_field(block, "lengths", "rb", "list"))
+        if not 1 <= len(lengths) <= MAX_RB_LENGTH or not all(
+                _KINDS["int"](m) and 1 <= m <= MAX_RB_LENGTH for m in lengths):
+            raise ConfigError(f"must be 1 to {MAX_RB_LENGTH} integers in [1, {MAX_RB_LENGTH}]",
+                              "rb.lengths")
     else:
-        m_max = _field(block, "m_max", "rb", "int", default=20)
-        if m_max < 1:
-            raise ConfigError(f"must be >= 1, got {m_max}", "rb.m_max")
-        lengths = tuple(range(1, m_max + 1))
-    k = _field(block, "k", "rb", "int", default=100)
-    if k < 1:
-        raise ConfigError(f"must be >= 1, got {k}", "rb.k")
+        lengths = tuple(range(1, _bounded_int(block, "m_max", "rb", 20, 1, MAX_RB_LENGTH) + 1))
+    k = _bounded_int(block, "k", "rb", 100, 1, MAX_RB_K)
     interleaved = _field(block, "interleaved", "rb", "str", default=None, allow_none=True)
     if interleaved is not None and interleaved not in bm.CLIFFORD_GATES:
         raise ConfigError(
@@ -401,7 +400,7 @@ def _run_rb(cfg, ctx: RunContext):
             f"(valid: {', '.join(bm.CLIFFORD_GATES)})",
             "rb.interleaved",
         )
-    steps = _parse_steps(block, "rb", RB_STEPS)
+    steps = _bounded_int(block, "steps", "rb", RB_STEPS, 4, MAX_STEPS)
     _, noise, _ = _resolve_device(cfg)
     err = _resolve_error(cfg)
 
@@ -436,7 +435,7 @@ def _run_sweep(cfg, ctx: RunContext):
         )
     epsilons = _parse_axis(block, "epsilon", "sweep", -0.1, 0.1)
     dets = TWO_PI * 1e6 * _parse_axis(block, "detuning_mhz", "sweep", -1.0, 1.0)
-    steps = _parse_steps(block, "sweep", sw.SWEEP_STEPS)
+    steps = _bounded_int(block, "steps", "sweep", sw.SWEEP_STEPS, 4, MAX_STEPS)
 
     grid = sw.crosstalk_sweep(
         family, gate, epsilons=epsilons, detunings=dets,
@@ -479,7 +478,7 @@ def _run_cavity(cfg, ctx: RunContext):
             "cavity.g_total_mhz",
         )
     g_total = None if g_total_mhz is None else TWO_PI * 1e6 * g_total_mhz
-    steps = _parse_steps(block, "cavity", sw.PIPELINE_STEPS)
+    steps = _bounded_int(block, "steps", "cavity", sw.PIPELINE_STEPS, 4, MAX_STEPS)
     dev, _, devname = _resolve_device(cfg)
 
     result = sw.cavity_pipeline(
@@ -586,8 +585,8 @@ def run(
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ConfigError(f"must be >= 1, got {threads}", "--threads")
-    if shots is not None and shots < 1:
-        raise ConfigError(f"must be >= 1, got {shots}", "--shots")
+    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"must be in [1, {MAX_SHOTS}], got {shots}", "--shots")
 
     cfg, cfg_hash = _load_config(config_path)
     schema = _field(cfg, "schema_version", "", "int")

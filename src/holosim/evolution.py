@@ -61,7 +61,7 @@ from .errors import (
     write_text,
 )
 from .operators import dagger, expm_hermitian, is_hermitian
-from .pulses import GateSchedule
+from .pulses import EDGE_TOL, GateSchedule
 
 DEFAULT_STEPS = 4096
 TRACE_TOL = 1e-6
@@ -435,11 +435,12 @@ def apply_channel(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _piece_grids(schedule: GateSchedule, steps: int):
     """Split the schedule at segment boundaries, allocating the step budget
-    proportionally (>= 10 steps per piece, the TimeGrid minimum)."""
+    proportionally (>= 10 steps per piece, the TimeGrid minimum). Slivers
+    shorter than EDGE_TOL of the duration are rounding, not pieces."""
     bounds = schedule.boundaries()
     pieces = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 1e-15:
+        if b - a < EDGE_TOL * schedule.duration:
             continue
         n = max(10, int(round(steps * (b - a) / schedule.duration)))
         pieces.append((float(a), float(b), n))

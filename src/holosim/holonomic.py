@@ -23,6 +23,7 @@ The 24 single-qubit Cliffords are listed once as loop parameters
 (clifford_table) and, for sequence bookkeeping, as an integer group
 (clifford_group): a Cayley table and an inverse table over the same
 indices, built once per process and checked for closure as they are built.
+A Clifford string is a list of those indices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -394,17 +394,17 @@ def clifford_table() -> tuple[HolonomicParams, ...]:
     return tuple(table)
 
 
-def find_recovery(product: np.ndarray, table=None, tol: float = 1e-8) -> int:
-    """Index r of the table element with U_r @ product = identity up to phase.
+def find_recovery(product: np.ndarray) -> int:
+    """Index r of the clifford_group() element with U_r @ product = identity
+    up to phase (within 1e-8).
 
-    The table is a group, so for any product of table unitaries exactly one
-    recovery exists; failing to find one means the product drifted.
+    The elements form a group, so for any product of their unitaries
+    exactly one recovery exists; failing to find one means the product
+    drifted or was never a Clifford.
     """
-    if table is None:
-        table = clifford_table()
     eye = np.eye(2)
-    for r, params in enumerate(table):
-        if phase_aligned_distance(target_u1(params) @ product, eye) < tol:
+    for r, params in enumerate(clifford_group().elements):
+        if phase_aligned_distance(target_u1(params) @ product, eye) < 1e-8:
             return r
     raise OutOfRangeError("no recovery Clifford found; product left the group")
 
@@ -413,16 +413,15 @@ def find_recovery(product: np.ndarray, table=None, tol: float = 1e-8) -> int:
 class CliffordGroup:
     """clifford_table() as an integer group; U_a is target_u1(elements[a]).
 
-    ``cayley[a, b]`` indexes U_a U_b and ``inverse[a]`` indexes U_a^dag,
-    both up to global phase; ``identity`` indexes U = 1 and ``positions``
-    maps each element back to its index.
+    A Clifford string is a sequence of these indices. ``cayley[a, b]``
+    indexes U_a U_b and ``inverse[a]`` indexes U_a^dag, both up to global
+    phase; ``identity`` indexes U = 1.
     """
 
     elements: tuple[HolonomicParams, ...]
     cayley: np.ndarray  # (24, 24) int
     inverse: np.ndarray  # (24,) int
     identity: int
-    positions: MappingProxyType
 
 
 @functools.cache
@@ -452,5 +451,4 @@ def clifford_group() -> CliffordGroup:
         cayley=cayley,
         inverse=inverse,
         identity=identity,
-        positions=MappingProxyType({p: i for i, p in enumerate(elements)}),
     )

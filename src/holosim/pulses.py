@@ -31,6 +31,12 @@ CAVITY_TRANSITIONS = ("two_photon", "raman")
 DEFAULT_HALF_SIGMA = 15e-9
 #: default ramp time of flat-top cavity pulses
 DEFAULT_RAMP = 10e-9
+#: largest truncated-Gaussian total / sigma: quadrature holds the area to
+#: 2e-13 up to 4000 and misses the peak from about 7700 on
+MAX_TOTAL_PER_SIGMA = 1e3
+#: edges closer than this fraction of a schedule's duration are one edge: far
+#: above the rounding of start + duration sums, far below any real pulse
+EDGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,9 @@ class TruncatedGaussian:
             object.__setattr__(self, "total", 4.0 * self.sigma)
         if self.total <= 0:
             raise OutOfRangeError(f"total must be positive, got {self.total}")
+        if not self.total / self.sigma <= MAX_TOTAL_PER_SIGMA:
+            raise OutOfRangeError(f"total / sigma = {self.total / self.sigma:.3g} "
+                                  f"exceeds {MAX_TOTAL_PER_SIGMA:g}")
 
     @property
     def duration(self) -> float:
@@ -250,7 +259,7 @@ class GateSchedule:
         if self.duration <= 0:
             raise OutOfRangeError("schedule duration must be positive")
         for seg in self.segments:
-            if seg.end > self.duration + 1e-15:
+            if seg.end > self.duration * (1.0 + EDGE_TOL):
                 raise OutOfRangeError(
                     f"segment on {seg.transition} ends at {seg.end}, "
                     f"beyond schedule duration {self.duration}"

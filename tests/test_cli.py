@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import holosim
 from holosim import benchmarking as bm
 from holosim import cli
+from holosim import tomography as tm
 from holosim.calibration import Trace, chevron_omega
 from holosim.errors import ConfigError, IoError
 
@@ -195,6 +196,33 @@ class TestConfigValidation:
         code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{subcommand}.steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,block,shots,key", [
+        ("rb", {"m_max": 3, "k": cli.MAX_RB_K + 1}, None, "rb.k"),
+        ("rb", {"m_max": cli.MAX_RB_LENGTH + 1, "k": 1}, None, "rb.m_max"),
+        ("rb", {"lengths": [1, 2, cli.MAX_RB_LENGTH + 1], "k": 1}, None, "rb.lengths"),
+        ("rb", {"lengths": [1] * (cli.MAX_RB_LENGTH + 1), "k": 1}, None, "rb.lengths"),
+        ("qpt", {"gate": {"name": "H"}, "shots": cli.MAX_SHOTS + 1}, None, "qpt.shots"),
+        ("qpt", {"gate": {"name": "H"}, "shots": 300}, cli.MAX_SHOTS + 1, "--shots"),
+    ])
+    def test_counts_above_ceiling_exit_two_before_any_channel(
+        self, tmp_path, capsys, monkeypatch, subcommand, block, shots, key
+    ):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built for a rejected config")
+
+        monkeypatch.setattr(bm, "schedule_channel", no_channel)
+        monkeypatch.setattr(tm, "schedule_channel", no_channel)
+        cfg = {"schema_version": 1, "device": "paper-device", subcommand: block}
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run(subcommand, str(path), str(tmp_path / "out"), shots=shots)
+        assert info.value.path == key
+        argv = [subcommand, "--config", str(path), "--out", str(tmp_path / "o")]
+        code = cli.main(argv + ([] if shots is None else ["--shots", str(shots)]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("block,key", [
         ({"gate": "X_pi", "g_total_mhz": math.nan}, "cavity.g_total_mhz"),
@@ -665,6 +693,124 @@ class TestGateFuzz:
             # an accepted block synthesizes its gate: no plausible-looking miss
             assert 4 <= block["steps"] <= 256
             assert fidelity > 1.0 - 1e-5
+
+
+@st.composite
+def counts(draw, small: int, ceiling: int):
+    """A config count: mostly small valid values (they run), also values
+    above the ceiling, non-positive and non-integer ones."""
+    if draw(st.integers(0, 4)):
+        return draw(st.integers(1, small))
+    return draw(st.one_of(
+        st.integers(ceiling + 1, 2**64), st.integers(-3, 0),
+        st.sampled_from([None, 2.0, "3", True, [2]]),
+    ))
+
+
+@st.composite
+def small_steps(draw):
+    if draw(st.integers(0, 3)):
+        return draw(st.integers(4, 64))
+    return draw(st.one_of(st.integers(-8, 3), st.integers(cli.MAX_STEPS + 1, 10**12)))
+
+
+@st.composite
+def rb_blocks(draw):
+    """Random rb blocks. Valid values above k 3, m 4 and steps 64 are slow,
+    so they are not drawn; every other case runs through the whole CLI."""
+    block = {"k": draw(counts(3, cli.MAX_RB_K)), "steps": draw(small_steps())}
+    kind = draw(st.sampled_from(["m_max", "m_max", "lengths", "lengths", "both"]))
+    if kind in ("m_max", "both"):
+        block["m_max"] = draw(counts(4, cli.MAX_RB_LENGTH))
+    if kind in ("lengths", "both"):
+        if draw(st.integers(0, 3)):
+            block["lengths"] = draw(st.lists(counts(4, cli.MAX_RB_LENGTH),
+                                             min_size=1, max_size=4))
+        else:
+            block["lengths"] = draw(st.sampled_from(
+                [[1] * (cli.MAX_RB_LENGTH + 1), [], None, "1,2,3", 3]
+            ))
+    if draw(st.booleans()):
+        block["interleaved"] = draw(st.sampled_from(
+            list(bm.CLIFFORD_GATES) + ["T", "CNOT", None, 1]
+        ))
+    return block
+
+
+def _above(value, ceiling) -> bool:
+    return cli._KINDS["int"](value) and value > ceiling
+
+
+class TestRbFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=rb_blocks(), device=st.sampled_from(["none", "paper-device"]))
+    # a count without a ceiling: numpy MemoryError after the channels
+    @example(block={"lengths": [1, 2, 3], "k": 1000000000000, "steps": 16},
+             device="paper-device")
+    def test_every_rb_block_exits_cleanly(self, block, device):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({"schema_version": 1, "device": device, "rb": block}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["rb", "--config", str(path), "--out",
+                                 str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        lengths = block.get("lengths")
+        if (_above(block["k"], cli.MAX_RB_K)
+                or _above(block.get("m_max"), cli.MAX_RB_LENGTH)
+                or (isinstance(lengths, list) and (
+                    len(lengths) > cli.MAX_RB_LENGTH
+                    or any(_above(m, cli.MAX_RB_LENGTH) for m in lengths)))):
+            assert code == 2
+        if code == 0:
+            assert 4 <= block["steps"] <= 64 and 1 <= block["k"] <= 3
+            assert max(block.get("lengths") or [block.get("m_max")]) <= 4
+
+
+@st.composite
+def qpt_runs(draw):
+    """(block, --shots) of random qpt runs. As in rb_blocks, valid steps
+    above 64 are not drawn; shots cost nothing, so all valid ones are."""
+    block = {
+        "gate": draw(st.sampled_from([{"name": "H"}, {"name": "X_pi"},
+                                      {"name": "CNOT"}, {"theta": 7.0, "gamma": 1.0}])),
+        "steps": draw(small_steps()),
+    }
+    if draw(st.booleans()):
+        block["shots"] = draw(counts(cli.MAX_SHOTS, cli.MAX_SHOTS))
+    for key in ("mle", "project"):
+        if draw(st.booleans()):
+            block[key] = draw(st.sampled_from([None, True, False, 1]))
+    flag = draw(st.one_of(st.none(), st.integers(-3, cli.MAX_SHOTS),
+                          st.integers(cli.MAX_SHOTS + 1, 2**64)))
+    return block, flag
+
+
+class TestQptFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=qpt_runs(), device=st.sampled_from(["none", "paper-device"]))
+    # a count without a ceiling: OverflowError in the binomial draws
+    @example(run=({"gate": {"name": "H"}, "shots": 9223372036854775808, "steps": 16}, None),
+             device="paper-device")
+    def test_every_qpt_run_exits_cleanly(self, run, device):
+        block, flag = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({"schema_version": 1, "device": device, "qpt": block}))
+            argv = ["qpt", "--config", str(path), "--out", str(Path(tmp) / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv + ([] if flag is None else ["--shots", str(flag)]))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if _above(block.get("shots"), cli.MAX_SHOTS) or (flag or 0) > cli.MAX_SHOTS:
+            assert code == 2
+        if code == 0:
+            assert 4 <= block["steps"] <= 64
 
 
 #: cavity numbers, mostly ordinary: also huge, tiny, non-finite and non-numeric

@@ -308,6 +308,18 @@ class TestScheduleDrivers:
 
         assert np.max(np.abs(channel(256) - channel(8192))) < 1e-7
 
+    def test_sub_femtosecond_schedule_is_propagated(self):
+        # the piece threshold is relative to the duration: a 40 as half-loop
+        # (sigma 1e-17 s) is the same gate as a 60 ns one, not the identity
+        h = hl.QUBIT_GATES["H"]
+        sched = hl.synthesize_qubit_gate(h, base=TruncatedGaussian(sigma=1e-17))
+        assert len(ev._piece_grids(sched, 512)) == 2
+        u = ev.schedule_unitary(sched, steps=512)
+        assert hl.synthesis_infidelity(u, h) < 1e-12
+        sup = ev.schedule_channel(sched, md.paper_device().q1_noise, steps=512)
+        # decay over 80 as is nil: the channel is the gate's unitary channel
+        assert np.max(np.abs(sup - ev.unitary_superoperator(u))) < 1e-7
+
     def test_piecewise_matches_single_grid(self):
         # one smooth segment: splitting at boundaries must agree with a
         # single grid of the same density

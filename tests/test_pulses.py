@@ -43,6 +43,17 @@ class TestTruncatedGaussian:
         env = pl.TruncatedGaussian(sigma=10e-9, total=80e-9)
         assert env.duration == pytest.approx(80e-9)
 
+    def test_window_above_the_ratio_ceiling_rejected(self):
+        # the edge exp(-(total/sigma)^2 / 8) overflowed a Python float at
+        # total/sigma = 1e300, and quadrature misses the peak from ~7700 on
+        pl.TruncatedGaussian(sigma=1.0, total=pl.MAX_TOTAL_PER_SIGMA)
+        for total in (1e-8 * 1e4, 1e292):
+            with pytest.raises(OutOfRangeError, match="total / sigma"):
+                pl.TruncatedGaussian(sigma=1e-8, total=total)
+
+    def test_default_edge_is_exp_minus_two(self):
+        assert pl.TruncatedGaussian(sigma=15e-9)._edge() == float(np.exp(-2.0))
+
     def test_area_against_simpson(self):
         env = pl.TruncatedGaussian(sigma=15e-9, peak_amplitude=3.0e7)
         assert pl.area(env) == pytest.approx(simpson_area(env), rel=1e-9)
@@ -141,6 +152,15 @@ class TestSegmentsAndSchedules:
         assert b[0] == 0.0 and b[-1] == pytest.approx(2 * env.duration)
         assert all(b[i] < b[i + 1] for i in range(len(b) - 1))
         assert sched.transitions() == ("ef", "ge")
+
+    def test_segment_end_tolerance_is_relative(self):
+        # a segment twice as long as an 80 as schedule was within the old
+        # absolute 1e-15 s slack
+        env = pl.TruncatedGaussian(sigma=1e-17)
+        seg = pl.PulseSegment(env, "ge", 0.0)
+        pl.GateSchedule((seg,), env.duration * (1.0 + 1e-12))
+        with pytest.raises(OutOfRangeError, match="beyond schedule duration"):
+            pl.GateSchedule((seg,), env.duration / 2)
 
     def test_replace_keeps_shape(self):
         env = pl.TruncatedGaussian(sigma=15e-9, peak_amplitude=1.0)
