@@ -66,6 +66,8 @@ def _clifford_gate_names() -> tuple[str, ...]:
 
 #: the named qubit gates that are Clifford elements: the valid interleaved gates
 CLIFFORD_GATES = _clifford_gate_names()
+#: fewest distinct sequence lengths that identify A, p and B of A p^m + B
+MIN_DISTINCT_LENGTHS = 3
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class RbConfig:
             raise OutOfRangeError("lengths must not be empty")
         if any(m < 1 for m in self.lengths):
             raise OutOfRangeError(f"all sequence lengths must be >= 1: {self.lengths}")
+        if len(set(self.lengths)) < MIN_DISTINCT_LENGTHS:
+            raise OutOfRangeError(f"need {MIN_DISTINCT_LENGTHS} distinct lengths: {self.lengths}")
         if self.k < 1:
             raise OutOfRangeError(f"k must be >= 1, got {self.k}")
         if self.interleaved is not None and self.interleaved not in CLIFFORD_GATES:
@@ -283,9 +287,9 @@ def fit_rb(lengths, means) -> RbFit:
     y = np.asarray(means, dtype=float)
     if m.shape != y.shape:
         raise FitDivergenceError(f"lengths {m.shape} and means {y.shape} differ")
-    if len(np.unique(m)) < 3:
+    if len(np.unique(m)) < MIN_DISTINCT_LENGTHS:
         raise FitDivergenceError(
-            f"need at least 3 distinct sequence lengths, got {len(np.unique(m))}"
+            f"need {MIN_DISTINCT_LENGTHS} distinct sequence lengths, got {len(np.unique(m))}"
         )
     if float(np.ptp(y)) < 1e-6:
         level = float(np.mean(y))

@@ -37,6 +37,9 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+#: largest detrend polynomial degree: below Trace's 8-sample minimum, so the
+#: trend never interpolates the samples
+MAX_DETREND_DEGREE = 7
 
 
 # ---- traces ----
@@ -77,25 +80,60 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path, label: str = "", detrend_degree: int | None = None):
-        """Read (time_s, value) rows; optionally subtract a polynomial trend.
+        """Read a ``time_s,value`` CSV (see read_csv_columns); optionally
+        subtract a least-squares polynomial trend of degree 0 to
+        MAX_DETREND_DEGREE.
 
         The detrend flag mirrors the background-subtraction step used on
-        hardware traces; simulated traces never need it. A cell that does not
-        parse as a finite number raises IoError naming the file.
+        hardware traces; simulated traces never need it.
         """
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        times = np.atleast_1d(data["time_s"]).astype(float)
-        values = np.atleast_1d(data["value"]).astype(float)
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise IoError(f"trace {path} has a non-numeric or non-finite cell")
-        if detrend_degree is not None:
-            if detrend_degree < 0:
-                raise OutOfRangeError(
-                    f"detrend degree must be >= 0, got {detrend_degree}"
-                )
-            coeffs = np.polyfit(times, values, detrend_degree)
-            values = values - np.polyval(coeffs, times)
-        return cls(times=times, values=values, label=label)
+        if detrend_degree is not None and not 0 <= detrend_degree <= MAX_DETREND_DEGREE:
+            raise OutOfRangeError(
+                f"detrend degree must be in [0, {MAX_DETREND_DEGREE}], got {detrend_degree}"
+            )
+        trace = cls(*read_csv_columns(path, ("time_s", "value")), label=label)
+        if detrend_degree is None:
+            return trace
+        try:
+            coeffs = np.polyfit(trace.times, trace.values, detrend_degree)
+        except np.linalg.LinAlgError as exc:
+            raise FitDivergenceError(f"cannot detrend {path}: {exc}") from exc
+        return dataclasses.replace(trace, values=trace.values - np.polyval(coeffs, trace.times))
+
+
+def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two float columns of a CSV file: a header line naming them, then
+    one ``x,y`` row of two finite numbers per line; blank lines are skipped.
+
+    Traces (``time_s,value``) and chevron points
+    (``offset_rad_s,omega_r_rad_s``) share this format. An unreadable file,
+    a missing header, no data row, or a row that is not two finite numbers
+    raises IoError naming the file and the line.
+    """
+    try:
+        with open(path) as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    expected = ",".join(header)
+    if not lines:
+        raise IoError(f"{path} is empty; expected the header {expected!r}")
+    n, first = lines[0]
+    if [cell.strip() for cell in first.split(",")] != list(header):
+        raise IoError(f"{path} line {n}: expected the header {expected!r}, got {first!r}")
+    if len(lines) == 1:
+        raise IoError(f"{path} has a header and no data rows")
+    rows = []
+    for n, ln in lines[1:]:
+        try:
+            row = [float(cell) for cell in ln.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 2 or not all(math.isfinite(x) for x in row):
+            raise IoError(f"{path} line {n}: expected two finite numbers, got {ln!r}")
+        rows.append(row)
+    xs, ys = np.array(rows).T.copy()
+    return xs, ys
 
 
 @dataclass(frozen=True)

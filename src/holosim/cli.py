@@ -9,7 +9,7 @@ manifest.
 
 Physical quantities in configs carry their unit in the key name (``_ns``,
 ``_mhz``) and are converted to seconds and angular frequency once, at parse
-time. Top-level keys shared by all subcommands::
+time. The top-level keys (no others are accepted)::
 
     {
       "schema_version": 1,
@@ -38,12 +38,14 @@ half-loop pulse. Subcommand blocks:
                "g_total_mhz": null|float (only with a gate), "steps": 2048}
     calibrate {"kind": "rate_equation", "trace_g": .., "trace_e": ..,
                "trace_f": ..}  or  {"kind": "ramsey"|"rabi", "trace": ..,
-               "detrend_degree": null|int}  or  {"kind": "chevron",
+               "detrend_degree": null|0..7}  or  {"kind": "chevron",
                "points": ..}
 
-Relative data paths in ``calibrate`` blocks resolve against the config
-file's directory. The cavity pipeline runs decohered exactly when the
-device is not "none".
+``device`` other than "none" applies to gate, qpt, rb and cavity, and a
+non-zero ``error`` to gate, qpt and rb; elsewhere either exits 2. Relative
+data paths in ``calibrate`` blocks resolve against the config file's
+directory; the CSV format is ``calibration.read_csv_columns``'s. The cavity
+pipeline runs decohered exactly when the device is not "none".
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ from . import model as md
 from . import sweeps as sw
 from . import tomography as tm
 from .calibration import (
+    MAX_DETREND_DEGREE,
     ChevronPoint,
     Trace,
     fit_chevron,
     fit_rabi,
     fit_ramsey,
     fit_rate_equation,
+    read_csv_columns,
 )
 from .errors import ConfigError, HolosimError, IoError, write_json
 from .evolution import schedule_unitary
@@ -88,6 +92,10 @@ TWO_PI = 2.0 * math.pi
 SCHEMA_VERSION = 1
 
 SUBCOMMANDS = ("gate", "qpt", "rb", "sweep", "cavity", "calibrate")
+#: subcommands that apply a top-level "device" other than "none", and a
+#: non-trivial top-level "error"; the others reject them
+DEVICE_SUBCOMMANDS = ("gate", "qpt", "rb", "cavity")
+ERROR_SUBCOMMANDS = ("gate", "qpt", "rb")
 
 #: default integration steps per task (sweeps/cavity defaults live in sweeps)
 GATE_STEPS = 1024
@@ -295,6 +303,10 @@ class RunContext:
     threads: int
     shots_override: int | None
     exact_override: bool
+    device: md.DeviceTable | None
+    noise: md.NoiseModel
+    device_name: str
+    err: md.ControlError
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -311,11 +323,9 @@ def _run_gate(cfg, ctx: RunContext):
     )
     env = _parse_envelope(block.get("envelope"), "gate.envelope")
     steps = _bounded_int(block, "steps", "gate", GATE_STEPS, 4, MAX_STEPS)
-    _, noise, devname = _resolve_device(cfg)
-    err = _resolve_error(cfg)
 
     schedule = synthesize_qubit_gate(params, base=env)
-    u = schedule_unitary(schedule, err, steps)
+    u = schedule_unitary(schedule, ctx.err, steps)
     infid = synthesis_infidelity(u, params)
     leakage = float(abs(u[1, 0]) ** 2 + abs(u[1, 2]) ** 2)
     payload = {
@@ -325,12 +335,12 @@ def _run_gate(cfg, ctx: RunContext):
         "leakage_e": leakage,
         "duration_ns": schedule.duration * 1e9,
         "steps": steps,
-        "device": devname,
-        "epsilon": err.epsilon,
-        "detuning_mhz": err.detuning / (TWO_PI * 1e6),
+        "device": ctx.device_name,
+        "epsilon": ctx.err.epsilon,
+        "detuning_mhz": ctx.err.detuning / (TWO_PI * 1e6),
     }
-    if devname != "none":
-        res = tm.simulate_qpt(schedule, noise=noise, err=err, shots=None, steps=steps)
+    if ctx.device is not None:
+        res = tm.simulate_qpt(schedule, noise=ctx.noise, err=ctx.err, shots=None, steps=steps)
         chi_t = tm.reduced_target_chi(target_u1(params))
         payload["fidelity_att"] = tm.fidelity_att(res.chi_reduced, chi_t)
         payload["fidelity_unatt"] = tm.fidelity_unatt(res.chi_reduced, chi_t)
@@ -350,8 +360,6 @@ def _run_qpt(cfg, ctx: RunContext):
     mle = _field(block, "mle", "qpt", "bool", default=None, allow_none=True)
     project = _field(block, "project", "qpt", "bool", default=None, allow_none=True)
     steps = _bounded_int(block, "steps", "qpt", QPT_STEPS, 4, MAX_STEPS)
-    _, noise, devname = _resolve_device(cfg)
-    err = _resolve_error(cfg)
     if ctx.exact_override:
         shots = None
     elif ctx.shots_override is not None:
@@ -359,7 +367,7 @@ def _run_qpt(cfg, ctx: RunContext):
 
     schedule = synthesize_qubit_gate(params, base=env)
     res = tm.simulate_qpt(
-        schedule, noise=noise, err=err, shots=shots, seed=ctx.seed,
+        schedule, noise=ctx.noise, err=ctx.err, shots=shots, seed=ctx.seed,
         steps=steps, mle=mle, project=project,
     )
     chi_t = tm.reduced_target_chi(target_u1(params))
@@ -368,7 +376,7 @@ def _run_qpt(cfg, ctx: RunContext):
     res.record.to_json(ctx.path("record.json"))
     write_json(ctx.path("qpt_summary.json"), {
         "gate": label,
-        "device": devname,
+        "device": ctx.device_name,
         "shots": shots,
         "seed": ctx.seed if shots is not None else None,
         "steps": steps,
@@ -390,8 +398,11 @@ def _run_rb(cfg, ctx: RunContext):
                 _KINDS["int"](m) and 1 <= m <= MAX_RB_LENGTH for m in lengths):
             raise ConfigError(f"must be 1 to {MAX_RB_LENGTH} integers in [1, {MAX_RB_LENGTH}]",
                               "rb.lengths")
+        if len(set(lengths)) < bm.MIN_DISTINCT_LENGTHS:
+            raise ConfigError(f"need {bm.MIN_DISTINCT_LENGTHS} distinct lengths", "rb.lengths")
     else:
-        lengths = tuple(range(1, _bounded_int(block, "m_max", "rb", 20, 1, MAX_RB_LENGTH) + 1))
+        m_max = _bounded_int(block, "m_max", "rb", 20, bm.MIN_DISTINCT_LENGTHS, MAX_RB_LENGTH)
+        lengths = tuple(range(1, m_max + 1))
     k = _bounded_int(block, "k", "rb", 100, 1, MAX_RB_K)
     interleaved = _field(block, "interleaved", "rb", "str", default=None, allow_none=True)
     if interleaved is not None and interleaved not in bm.CLIFFORD_GATES:
@@ -401,12 +412,10 @@ def _run_rb(cfg, ctx: RunContext):
             "rb.interleaved",
         )
     steps = _bounded_int(block, "steps", "rb", RB_STEPS, 4, MAX_STEPS)
-    _, noise, _ = _resolve_device(cfg)
-    err = _resolve_error(cfg)
 
     run_cfg = bm.RbConfig(
         lengths=lengths, k=k, seed=ctx.seed, interleaved=interleaved,
-        noise=noise, err=err, steps=steps,
+        noise=ctx.noise, err=ctx.err, steps=steps,
     )
     result = bm.run_rb(run_cfg)
     artifacts = ["rb_reference.csv", "rb_summary.json"]
@@ -479,46 +488,14 @@ def _run_cavity(cfg, ctx: RunContext):
         )
     g_total = None if g_total_mhz is None else TWO_PI * 1e6 * g_total_mhz
     steps = _bounded_int(block, "steps", "cavity", sw.PIPELINE_STEPS, 4, MAX_STEPS)
-    dev, _, devname = _resolve_device(cfg)
 
     result = sw.cavity_pipeline(
-        gate, include_decoherence=devname != "none", device=dev,
+        gate, include_decoherence=ctx.device is not None, device=ctx.device,
         g_total=g_total, steps=steps,
     )
     result.to_json(ctx.path("cavity.json"))
     result.chi.to_csv(ctx.path("cavity_chi.csv"))
     return ["cavity.json", "cavity_chi.csv"]
-
-
-def _read_trace(path_str: str, ctx: RunContext, detrend_degree=None) -> Trace:
-    path = ctx.data_path(path_str)
-    try:
-        return Trace.from_csv(path, detrend_degree=detrend_degree)
-    except OSError as exc:
-        raise IoError(f"cannot read trace {path}: {exc}") from exc
-
-
-def _read_chevron_points(path_str: str, ctx: RunContext):
-    """Points from a two-column CSV: offset_rad_s, omega_r_rad_s."""
-    path = ctx.data_path(path_str)
-    try:
-        with open(path) as fh:
-            rows = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read chevron points {path}: {exc}") from exc
-    if rows and rows[0][1].lower().startswith("offset"):
-        rows = rows[1:]
-    points = []
-    for n, ln in rows:
-        cols = ln.split(",")
-        try:
-            offset, omega_r = float(cols[0]), float(cols[1])
-        except (ValueError, IndexError) as exc:
-            raise IoError(
-                f"chevron points {path} line {n}: expected two numbers, got {ln!r}"
-            ) from exc
-        points.append(ChevronPoint(offset=offset, omega_r=omega_r))
-    return points
 
 
 def _run_calibrate(cfg, ctx: RunContext):
@@ -532,20 +509,25 @@ def _run_calibrate(cfg, ctx: RunContext):
     if kind == "rate_equation":
         _reject_unknown(block, {"kind", "trace_g", "trace_e", "trace_f"}, "calibrate")
         traces = [
-            _read_trace(_field(block, key, "calibrate", "str"), ctx)
+            Trace.from_csv(ctx.data_path(_field(block, key, "calibrate", "str")))
             for key in ("trace_g", "trace_e", "trace_f")
         ]
         fit = fit_rate_equation(*traces)
     elif kind == "chevron":
         _reject_unknown(block, {"kind", "points"}, "calibrate")
-        fit = fit_chevron(
-            _read_chevron_points(_field(block, "points", "calibrate", "str"), ctx)
-        )
+        path = ctx.data_path(_field(block, "points", "calibrate", "str"))
+        offsets, omegas = read_csv_columns(path, ("offset_rad_s", "omega_r_rad_s"))
+        fit = fit_chevron([ChevronPoint(offset=o, omega_r=w)
+                           for o, w in zip(offsets.tolist(), omegas.tolist())])
     else:
         _reject_unknown(block, {"kind", "trace", "detrend_degree"}, "calibrate")
         degree = _field(block, "detrend_degree", "calibrate", "int",
                         default=None, allow_none=True)
-        trace = _read_trace(_field(block, "trace", "calibrate", "str"), ctx, degree)
+        if degree is not None and not 0 <= degree <= MAX_DETREND_DEGREE:
+            raise ConfigError(f"must be in [0, {MAX_DETREND_DEGREE}] or null, got {degree}",
+                              "calibrate.detrend_degree")
+        path = ctx.data_path(_field(block, "trace", "calibrate", "str"))
+        trace = Trace.from_csv(path, detrend_degree=degree)
         fit = fit_ramsey(trace) if kind == "ramsey" else fit_rabi(trace)
     fit.to_json(ctx.path("fit.json"))
     return ["fit.json"]
@@ -595,10 +577,20 @@ def run(
             f"unsupported value {schema}; this tool reads version {SCHEMA_VERSION}",
             "schema_version",
         )
+    _reject_unknown(cfg, {"schema_version", "seed", "device", "error", subcommand}, "")
     cfg_seed = _field(cfg, "seed", "", "int", default=0)
     if cfg_seed < 0:
         raise ConfigError(f"must be >= 0, got {cfg_seed}", "seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"must be >= 0, got {seed}", "--seed")
     eff_seed = cfg_seed if seed is None else seed
+    device, noise, devname = _resolve_device(cfg)
+    if devname != "none" and subcommand not in DEVICE_SUBCOMMANDS:
+        raise ConfigError(f'{subcommand} applies no device; give "none" or drop the key',
+                          "device")
+    err = _resolve_error(cfg)
+    if err != md.NO_ERROR and subcommand not in ERROR_SUBCOMMANDS:
+        raise ConfigError(f"{subcommand} applies no control error; drop the key", "error")
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -611,6 +603,10 @@ def run(
         threads=threads,
         shots_override=shots,
         exact_override=exact_measurement,
+        device=device,
+        noise=noise,
+        device_name=devname,
+        err=err,
     )
 
     manifest = {

@@ -58,7 +58,6 @@ from .errors import (
     NonHermitianInputError,
     OutOfRangeError,
     StepTooLargeError,
-    write_text,
 )
 from .operators import dagger, expm_hermitian, is_hermitian
 from .pulses import EDGE_TOL, GateSchedule
@@ -96,10 +95,6 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t1 - self.t0) / self.steps
 
-    @classmethod
-    def for_duration(cls, duration: float, steps: int = DEFAULT_STEPS) -> "TimeGrid":
-        return cls(0.0, duration, steps)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -114,24 +109,6 @@ class Trajectory:
 
     def populations(self) -> np.ndarray:
         return np.real(np.einsum("tii->ti", self.states))
-
-    def to_csv(self, path) -> None:
-        """Write populations and coherence magnitudes, one row per node.
-
-        Values use repr formatting (shortest round-trip), so identical runs
-        produce byte-identical files.
-        """
-        d = self.states.shape[-1]
-        pops = self.populations()
-        header = ["time_s"] + [f"p_{i}" for i in range(d)]
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        header += [f"abs_rho_{i}{j}" for i, j in pairs]
-        lines = [",".join(header)]
-        for k, t in enumerate(self.times):
-            row = [repr(float(t))] + [repr(float(p)) for p in pops[k]]
-            row += [repr(float(abs(self.states[k][i, j]))) for i, j in pairs]
-            lines.append(",".join(row))
-        write_text(path, "\n".join(lines) + "\n")
 
 
 def _eval_hamiltonian(h, times: np.ndarray, dim: int) -> np.ndarray:

@@ -40,7 +40,6 @@ from .operators import gf_block, phase_aligned_distance, unitary_infidelity
 from .pulses import (
     DEFAULT_HALF_SIGMA,
     DEFAULT_RAMP,
-    DragSetting,
     Envelope,
     GateSchedule,
     PulseSegment,
@@ -173,7 +172,6 @@ def cavity_synthesis_infidelity(
 def synthesize_qubit_gate(
     params: HolonomicParams,
     base: Envelope | None = None,
-    drag: DragSetting | None = None,
 ) -> GateSchedule:
     """Two-half schedule realizing target_u1 on the (g, f) qubit.
 
@@ -198,8 +196,8 @@ def synthesize_qubit_gate(
     segments = []
     for k, (phi0, phi1) in enumerate(phases):
         start = k * t_half
-        segments.append(PulseSegment(ge_env, "ge", phi0, start, drag))
-        segments.append(PulseSegment(ef_env, "ef", phi1, start, drag))
+        segments.append(PulseSegment(ge_env, "ge", phi0, start))
+        segments.append(PulseSegment(ef_env, "ef", phi1, start))
     label = f"u1(theta={params.theta:.6g},gamma={params.gamma:.6g},phi={params.phi:.6g})"
     return GateSchedule(tuple(segments), 2.0 * t_half, label)
 
@@ -221,7 +219,6 @@ def synthesize_cavity_gate(
     gamma: float,
     phi: float,
     g_total: float,
-    ramp: float = DEFAULT_RAMP,
 ) -> GateSchedule:
     """Flat-top schedule realizing the loop on {|0g>, |1g>, |0f>}.
 
@@ -245,12 +242,10 @@ def synthesize_cavity_gate(
     segments = []
     start = 0.0
     for target_area, (phi0, phi1) in half_specs:
-        flat = target_area / g_total - ramp
+        flat = target_area / g_total - DEFAULT_RAMP
         if flat <= 0:
-            raise OutOfRangeError(
-                "ramps longer than the loop allows; lower ramp or g_total"
-            )
-        env = normalize_to_area(SquareWithRamps(flat, ramp, g_total), target_area)
+            raise OutOfRangeError("ramps longer than the loop allows; lower g_total")
+        env = normalize_to_area(SquareWithRamps(flat, DEFAULT_RAMP, g_total), target_area)
         segments.append(
             PulseSegment(
                 dataclasses.replace(env, peak_amplitude=env.peak_amplitude * s),
@@ -272,9 +267,7 @@ def synthesize_cavity_gate(
     return GateSchedule(tuple(segments), start, label)
 
 
-def encode_swap_schedule(
-    g_swap: float, phase: float = 0.0, ramp: float = DEFAULT_RAMP
-) -> GateSchedule:
+def encode_swap_schedule(g_swap: float, phase: float = 0.0) -> GateSchedule:
     """pi swap between |0f> and |1g> (encode/decode leg of the cavity runs).
 
     One flat-top raman pulse of area exactly pi/2; duration follows from the
@@ -282,41 +275,38 @@ def encode_swap_schedule(
     """
     if g_swap <= 0:
         raise ZeroCouplingError(f"swap coupling must be positive, got {g_swap}")
-    flat = HALF_AREA / g_swap - ramp
+    flat = HALF_AREA / g_swap - DEFAULT_RAMP
     if flat <= 0:
         raise OutOfRangeError("ramps longer than the swap allows")
-    env = normalize_to_area(SquareWithRamps(flat, ramp, g_swap), HALF_AREA)
+    env = normalize_to_area(SquareWithRamps(flat, DEFAULT_RAMP, g_swap), HALF_AREA)
     seg = PulseSegment(env, "raman", phase, 0.0)
     return GateSchedule((seg,), env.duration, "swap")
 
 
 # ---- dynamic (non-geometric) reference gates ----
 
+#: sigma of every dynamic reference pulse (each is 4 sigma = 120 ns long)
 DYNAMIC_SIGMA = 30e-9
 
 
-def _dynamic_pulse(transition, rotation, axis_phase, start, sigma, drag):
+def _dynamic_pulse(transition, rotation, axis_phase, start):
     """One Gaussian subspace rotation; pulse area is rotation/2."""
-    env = normalize_to_area(TruncatedGaussian(sigma=sigma), rotation / 2.0)
-    return PulseSegment(env, transition, axis_phase, start, drag)
+    env = normalize_to_area(TruncatedGaussian(sigma=DYNAMIC_SIGMA), rotation / 2.0)
+    return PulseSegment(env, transition, axis_phase, start)
 
 
-def dynamic_hadamard_schedule(
-    sigma: float = DYNAMIC_SIGMA, drag: DragSetting | None = None
-) -> GateSchedule:
+def dynamic_hadamard_schedule() -> GateSchedule:
     """Hadamard as three sequential rotations: X_pi^ge, X_pi/2^ef, X_pi^ge."""
-    t_p = 4.0 * sigma
+    t_p = 4.0 * DYNAMIC_SIGMA
     segs = (
-        _dynamic_pulse("ge", math.pi, 0.0, 0.0, sigma, drag),
-        _dynamic_pulse("ef", math.pi / 2.0, 0.0, t_p, sigma, drag),
-        _dynamic_pulse("ge", math.pi, 0.0, 2.0 * t_p, sigma, drag),
+        _dynamic_pulse("ge", math.pi, 0.0, 0.0),
+        _dynamic_pulse("ef", math.pi / 2.0, 0.0, t_p),
+        _dynamic_pulse("ge", math.pi, 0.0, 2.0 * t_p),
     )
     return GateSchedule(segs, 3.0 * t_p, "dynamic-hadamard")
 
 
-def dynamic_t_schedule(
-    sigma: float = DYNAMIC_SIGMA, drag: DragSetting | None = None
-) -> GateSchedule:
+def dynamic_t_schedule() -> GateSchedule:
     """T gate as four rotations: X_pi^ge, R_pi^ef(-pi/8), Y_pi^ef, X_pi^ge.
 
     Two pi rotations about in-plane ef axes separated by delta compose to a
@@ -324,12 +314,12 @@ def dynamic_t_schedule(
     lands diag(1, e^{i pi/4}) on the (g, f) block (up to global phase). With
     the drive phase sitting on |f><e|, delta = phi2 - phi1 must be +5 pi/8.
     """
-    t_p = 4.0 * sigma
+    t_p = 4.0 * DYNAMIC_SIGMA
     segs = (
-        _dynamic_pulse("ge", math.pi, 0.0, 0.0, sigma, drag),
-        _dynamic_pulse("ef", math.pi, -math.pi / 8.0, t_p, sigma, drag),
-        _dynamic_pulse("ef", math.pi, math.pi / 2.0, 2.0 * t_p, sigma, drag),
-        _dynamic_pulse("ge", math.pi, 0.0, 3.0 * t_p, sigma, drag),
+        _dynamic_pulse("ge", math.pi, 0.0, 0.0),
+        _dynamic_pulse("ef", math.pi, -math.pi / 8.0, t_p),
+        _dynamic_pulse("ef", math.pi, math.pi / 2.0, 2.0 * t_p),
+        _dynamic_pulse("ge", math.pi, 0.0, 3.0 * t_p),
     )
     return GateSchedule(segs, 4.0 * t_p, "dynamic-t")
 

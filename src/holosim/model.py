@@ -20,31 +20,17 @@ ControlError with array fields adds leading batch axes, (*batch, N, d, d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadTransitionError, NegativeRateError, OutOfRangeError
-from .pulses import GateSchedule, PulseSegment
+from .pulses import GateSchedule
 
 TWO_PI = 2.0 * math.pi
 
 
 # ---- parameter containers ----
-
-@dataclass(frozen=True)
-class QutritDevice:
-    """Transition frequencies of one transmon qutrit (rad/s)."""
-
-    omega_ge: float
-    omega_ef: float
-    label: str = ""
-
-    @property
-    def anharmonicity(self) -> float:
-        """omega_ef - omega_ge; negative for these transmons."""
-        return self.omega_ef - self.omega_ge
-
 
 @dataclass(frozen=True)
 class ControlError:
@@ -145,10 +131,9 @@ NO_CAVITY_NOISE = CavityNoise()
 
 @dataclass(frozen=True)
 class DeviceTable:
-    """A full device parameter set: two qutrits, their noise, storage mode."""
+    """A full device parameter set: both qutrits' noise, the storage mode's
+    noise and the couplings. Drives are resonant, so no frequency is kept."""
 
-    q1: QutritDevice
-    q2: QutritDevice
     q1_noise: NoiseModel
     q2_noise: NoiseModel
     cavity_noise: CavityNoise
@@ -165,11 +150,7 @@ def paper_device() -> DeviceTable:
     Coherences (us): q1 ge 45.6 / 24.4, q1 ef 20.3 / 8.3,
     q2 ge 42.2 / 44.0, q2 ef 24.9 / 13.6, storage mode 135 / 193.
     """
-    q1 = QutritDevice(TWO_PI * 5.036e9, TWO_PI * 4.782e9, label="q1")
-    q2 = QutritDevice(TWO_PI * 5.605e9, TWO_PI * 5.367e9, label="q2")
     return DeviceTable(
-        q1=q1,
-        q2=q2,
         q1_noise=NoiseModel.from_coherence_times(45.6e-6, 24.4e-6, 20.3e-6, 8.3e-6),
         q2_noise=NoiseModel.from_coherence_times(42.2e-6, 44.0e-6, 24.9e-6, 13.6e-6),
         cavity_noise=CavityNoise.from_coherence_times(135e-6, 193e-6),

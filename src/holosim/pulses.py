@@ -1,4 +1,4 @@
-"""Drive envelopes, DRAG quadratures, and gate schedules.
+"""Drive envelopes and gate schedules.
 
 Times are seconds and amplitudes are angular frequencies (rad/s) throughout;
 the CLI layer converts from ns / MHz. Envelope values are zero outside
@@ -74,18 +74,11 @@ class TruncatedGaussian:
         inside = (t >= 0) & (t <= self.total)
         return np.where(inside, (raw - edge) / (1.0 - edge), 0.0)
 
-    def shape_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        c = 0.5 * self.total
-        edge = self._edge()
-        raw = np.exp(-0.5 * ((t - c) / self.sigma) ** 2)
-        inside = (t >= 0) & (t <= self.total)
-        return np.where(inside, raw * (-(t - c) / self.sigma**2) / (1.0 - edge), 0.0)
-
 
 @dataclass(frozen=True)
 class SquareWithRamps:
-    """Flat-top pulse with sine-squared ramps of ``ramp`` on both ends."""
+    """Flat-top pulse with sine-squared ramps of ``ramp`` on both ends; with
+    ``ramp = 0`` it is a rectangle."""
 
     flat: float
     ramp: float = DEFAULT_RAMP
@@ -113,45 +106,8 @@ class SquareWithRamps:
         inside = (t >= 0) & (t <= total)
         return np.where(inside, np.minimum(up, down), 0.0)
 
-    def shape_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        total = self.duration
-        if self.ramp == 0:
-            return np.zeros_like(t)
-        k = 0.5 * np.pi / self.ramp
-        rising = (t >= 0) & (t < self.ramp)
-        falling = (t > total - self.ramp) & (t <= total)
-        out = np.zeros_like(t)
-        out = np.where(rising, k * np.sin(2.0 * k * t), out)
-        out = np.where(falling, -k * np.sin(2.0 * k * (total - t)), out)
-        return out
 
-
-@dataclass(frozen=True)
-class Constant:
-    """Rectangular envelope (no ramps); mostly for tests and Rabi scans."""
-
-    duration_s: float
-    peak_amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise OutOfRangeError(f"duration must be positive, got {self.duration_s}")
-
-    @property
-    def duration(self) -> float:
-        return self.duration_s
-
-    def shape(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= 0) & (t <= self.duration_s), 1.0, 0.0)
-
-    def shape_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t)
-
-
-Envelope = Union[TruncatedGaussian, SquareWithRamps, Constant]
+Envelope = Union[TruncatedGaussian, SquareWithRamps]
 
 
 def sample(env: Envelope, t):
@@ -167,8 +123,6 @@ def area(env: Envelope) -> float:
     """
     if env.peak_amplitude == 0:
         return 0.0
-    if isinstance(env, Constant):
-        return env.peak_amplitude * env.duration_s
     pts = None
     if isinstance(env, SquareWithRamps) and env.ramp > 0:
         pts = [env.ramp, env.ramp + env.flat]
@@ -193,28 +147,6 @@ def normalize_to_area(env: Envelope, target: float) -> Envelope:
 
 
 @dataclass(frozen=True)
-class DragSetting:
-    """First-order derivative-over-anharmonicity quadrature correction."""
-
-    anharmonicity: float
-    coefficient: float = 1.0
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.anharmonicity == 0:
-            raise OutOfRangeError("anharmonicity must be nonzero for DRAG")
-
-
-def drag_quadrature(env: Envelope, drag: DragSetting, t):
-    """Out-of-phase drive component -coeff * d(sample)/dt / anharmonicity."""
-    if drag is None or not drag.enabled:
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t)
-    deriv = env.peak_amplitude * env.shape_derivative(t)
-    return -drag.coefficient * deriv / drag.anharmonicity
-
-
-@dataclass(frozen=True)
 class PulseSegment:
     """One drive tone: an envelope on a named transition with a phase.
 
@@ -226,7 +158,6 @@ class PulseSegment:
     transition: Transition
     phase: float
     start: float = 0.0
-    drag: DragSetting | None = None
 
     def __post_init__(self):
         if self.transition not in QUBIT_TRANSITIONS + CAVITY_TRANSITIONS:
@@ -239,12 +170,9 @@ class PulseSegment:
         return self.start + self.envelope.duration
 
     def waveform(self, t):
-        """Complex drive amplitude (in-phase + i * DRAG) at absolute time t."""
+        """Complex drive amplitude at absolute time t."""
         local = np.asarray(t, dtype=float) - self.start
-        w = sample(self.envelope, local).astype(complex)
-        if self.drag is not None and self.drag.enabled:
-            w = w + 1j * drag_quadrature(self.envelope, self.drag, local)
-        return w
+        return sample(self.envelope, local).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -281,6 +209,3 @@ class GateSchedule:
                 edges += [seg.start + env.ramp, seg.start + env.ramp + env.flat]
             ts.update(min(t, self.duration) for t in edges)
         return np.array(sorted(ts))
-
-    def transitions(self) -> tuple[str, ...]:
-        return tuple(sorted({seg.transition for seg in self.segments}))

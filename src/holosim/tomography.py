@@ -15,7 +15,6 @@ loss in, F_unatt divides it out.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -175,18 +174,6 @@ class TomographyRecord:
             "shots": self.shots,
             "seed": self.seed,
         })
-
-    @classmethod
-    def from_json(cls, path) -> "TomographyRecord":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(
-            values=np.array(payload["values"], dtype=float),
-            input_labels=tuple(payload["input_labels"]),
-            prerotation_labels=tuple(payload["prerotation_labels"]),
-            shots=payload.get("shots"),
-            seed=payload.get("seed"),
-        )
 
 
 def expectation(rho: np.ndarray, prerotation: np.ndarray, m_i: np.ndarray) -> float:

@@ -97,6 +97,10 @@ class TestConfig:
             rb.RbConfig(lengths=())
         with pytest.raises(OutOfRangeError):
             rb.RbConfig(lengths=(1, 0, 3))
+        # two distinct lengths cannot identify A, p and B: rejected before
+        # any channel is built, not by fit_rb after every sequence ran
+        with pytest.raises(OutOfRangeError, match="distinct"):
+            rb.RbConfig(lengths=(1, 2, 2, 1))
 
     def test_k_validated(self):
         with pytest.raises(OutOfRangeError):

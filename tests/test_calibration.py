@@ -129,8 +129,9 @@ class TestTrace:
         # the linear background is gone; the tone survives
         assert abs(np.mean(flat.values)) < 1e-6
         assert np.ptp(flat.values) > 0.5
-        with pytest.raises(OutOfRangeError):
-            cal.Trace.from_csv(tmp_path / "raw.csv", detrend_degree=-1)
+        for degree in (-1, cal.MAX_DETREND_DEGREE + 1):
+            with pytest.raises(OutOfRangeError):
+                cal.Trace.from_csv(tmp_path / "raw.csv", detrend_degree=degree)
 
     def test_chevron_point_requires_positive_frequency(self):
         with pytest.raises(OutOfRangeError):
@@ -347,7 +348,7 @@ class TestRabi:
         g = md.paper_device().g_swap
         dur = 2.0e-6
         seg = pl.PulseSegment(
-            envelope=pl.Constant(duration_s=dur, peak_amplitude=g),
+            envelope=pl.SquareWithRamps(dur, ramp=0.0, peak_amplitude=g),
             transition="raman",
             phase=0.0,
         )

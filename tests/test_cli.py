@@ -59,6 +59,17 @@ def qpt_config(**block):
     return {"schema_version": 1, "seed": 11, "device": "paper-device", "qpt": body}
 
 
+#: one valid block per subcommand, for checks that fail before it runs
+MINIMAL_BLOCKS = {
+    "gate": {"gate": {"name": "X_pi", "steps": SMALL_STEPS}},
+    "qpt": {"qpt": {"gate": {"name": "H"}, "steps": SMALL_STEPS}},
+    "rb": {"rb": {"m_max": 3, "k": 1, "steps": 16}},
+    "sweep": {"sweep": {"family": "holonomic", "gate": "H"}},
+    "cavity": {"cavity": {"gate": "X_pi"}},
+    "calibrate": {"calibrate": {"kind": "rabi", "trace": "rabi.csv"}},
+}
+
+
 class TestConfigValidation:
     def test_missing_schema_version(self, tmp_path):
         path = write_config(tmp_path, {"gate": {"name": "X_pi"}})
@@ -139,6 +150,39 @@ class TestConfigValidation:
             cli.run("gate", str(path), str(tmp_path / "out"))
         assert info.value.path == "device"
 
+    @pytest.mark.parametrize("subcommand,extra,key", [
+        ("sweep", {"device": "bogus"}, "device"),
+        ("sweep", {"device": "paper-device"}, "device"),
+        ("sweep", {"error": {"epsilon": "x", "foo": 1}}, "error.foo"),
+        ("sweep", {"error": {"epsilon": 0.3}}, "error"),
+        ("cavity", {"error": {"epsilon": 0.3, "detuning_mhz": 5}}, "error"),
+        ("calibrate", {"device": "bogus"}, "device"),
+        ("calibrate", {"device": "paper-device"}, "device"),
+        ("calibrate", {"error": {"epsilon": 0.3}}, "error"),
+        ("calibrate", {"error": {"foo": 1}}, "error.foo"),
+    ] + [(sub, {"typo": 1}, "typo") for sub in cli.SUBCOMMANDS])
+    def test_top_level_value_the_subcommand_cannot_apply_exits_two(
+        self, tmp_path, capsys, subcommand, extra, key
+    ):
+        # each was accepted and ignored: the run exited 0 as without it
+        cfg = dict(MINIMAL_BLOCKS[subcommand], schema_version=1, **extra)
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run(subcommand, str(path), str(tmp_path / "out"))
+        assert info.value.path == key
+        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_sweep_accepts_the_neutral_top_level_values(self, tmp_path):
+        block = {"family": "holonomic", "gate": "H", "steps": 16,
+                 "epsilon": {"min": 0.0, "max": 0.0, "count": 1},
+                 "detuning_mhz": {"min": 0.0, "max": 0.0, "count": 1}}
+        cfg = {"schema_version": 1, "seed": 0, "device": "none",
+               "error": {"epsilon": 0.0, "detuning_mhz": 0.0}, "sweep": block}
+        run_ok("sweep", write_config(tmp_path, cfg), tmp_path / "out")
+
     def test_sweep_family_and_gate_checked(self, tmp_path):
         cfg = {"schema_version": 1, "sweep": {"family": "adiabatic", "gate": "H"}}
         path = write_config(tmp_path, cfg)
@@ -204,6 +248,9 @@ class TestConfigValidation:
         ("rb", {"lengths": [1] * (cli.MAX_RB_LENGTH + 1), "k": 1}, None, "rb.lengths"),
         ("qpt", {"gate": {"name": "H"}, "shots": cli.MAX_SHOTS + 1}, None, "qpt.shots"),
         ("qpt", {"gate": {"name": "H"}, "shots": 300}, cli.MAX_SHOTS + 1, "--shots"),
+        # fewer than 3 distinct lengths: fit_rb failed after every channel was built
+        ("rb", {"lengths": [1, 2, 2, 1], "k": 1}, None, "rb.lengths"),
+        ("rb", {"m_max": 2, "k": 1}, None, "rb.m_max"),
     ])
     def test_counts_above_ceiling_exit_two_before_any_channel(
         self, tmp_path, capsys, monkeypatch, subcommand, block, shots, key
@@ -1009,6 +1056,134 @@ class TestCalibrateCommand:
         assert info.value.path == "calibrate.kind"
 
 
+#: defects a calibration CSV can carry; the first seven make it unreadable (exit 2)
+CSV_DEFECTS = ("empty", "header_only", "no_header", "wrong_header", "ragged",
+               "non_numeric", "non_finite", "unsorted", "duplicate_time")
+STRUCTURAL_DEFECTS = CSV_DEFECTS[:7]
+
+
+def _signal_columns(kind, rng, n):
+    """{file name: (x, y)} of noiseless, acceptance-like data for one kind."""
+    t = np.linspace(0.0, rng.uniform(1e-6, 60e-6), n)
+    if kind == "chevron":
+        offsets = TWO_PI * 1e6 * np.linspace(-2.0, 2.0, n)
+        return {"points.csv": (offsets, chevron_omega(offsets, 0.0, TWO_PI * 0.8e6))}
+    if kind == "rate_equation":
+        a, b = rng.uniform(1e4, 1e5, 2)
+        p_f = np.exp(-b * t)
+        p_e = b / (a - b) * (np.exp(-b * t) - np.exp(-a * t))
+        return {"pop_g.csv": (t, 1.0 - p_e - p_f), "pop_e.csv": (t, p_e),
+                "pop_f.csv": (t, p_f)}
+    tone = np.cos(TWO_PI * rng.uniform(0.1e6, 3e6) * t) * np.exp(-t / rng.uniform(5e-6, 60e-6))
+    return {"trace.csv": (t, 0.5 + 0.4 * tone)}
+
+
+@st.composite
+def calibrate_cases(draw):
+    """(config, {file name: contents}, must exit 2) of random calibrate runs:
+    every kind, with CSVs well formed or carrying one defect, detrend
+    degrees in and out of range, and top-level device and error values."""
+    kind = draw(st.sampled_from(["rate_equation", "ramsey", "rabi", "chevron", "fft"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = _signal_columns(kind, rng, draw(st.integers(0, 48)))
+    header = "offset_rad_s,omega_r_rad_s" if kind == "chevron" else "time_s,value"
+    files = {name: [header] + [f"{float(u)!r},{float(v)!r}" for u, v in zip(*xy)]
+             for name, xy in columns.items()}
+    defect = draw(st.sampled_from((None,) + CSV_DEFECTS))
+    lines = files[draw(st.sampled_from(sorted(files)))]
+    rows = len(lines) - 1
+    if defect == "empty":
+        del lines[:]
+    elif defect == "header_only":
+        del lines[1:]
+    elif defect == "no_header":
+        del lines[0]
+    elif defect == "wrong_header":
+        lines[0] = draw(st.sampled_from(["time_s,signal", "time_s", "value,time_s", "x,y"]))
+    elif rows and defect in ("ragged", "non_numeric", "non_finite"):
+        i = draw(st.integers(1, rows))
+        cells = lines[i].split(",")
+        if defect == "ragged":
+            cells = cells[:1] if draw(st.booleans()) else cells + ["0.5"]
+        else:
+            cells[draw(st.integers(0, 1))] = draw(st.sampled_from(
+                ["abc", "", "0x1p3"] if defect == "non_numeric"
+                else ["nan", "inf", "-inf", "1e400"]))
+        lines[i] = ",".join(cells)
+    elif rows >= 2 and defect == "unsorted":
+        i, j = draw(st.lists(st.integers(1, rows), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif rows and defect == "duplicate_time":
+        i = draw(st.integers(1, rows))
+        lines.insert(i, lines[i])
+    # a sibling trace with too few samples may fail (exit 1) before it is read
+    must_exit_two = (kind == "fft" or rows == 0 or defect in STRUCTURAL_DEFECTS
+                     and (len(files) == 1 or rows >= 8))
+
+    block = {"kind": kind}
+    if kind == "chevron":
+        block["points"] = "points.csv"
+    elif kind == "rate_equation":
+        block.update({f"trace_{lv}": f"pop_{lv}.csv" for lv in "gef"})
+    elif kind in ("ramsey", "rabi"):
+        block["trace"] = "trace.csv"
+        if draw(st.booleans()):
+            degree = draw(st.one_of(st.integers(-2, 12), st.sampled_from([299, 5000, None, 1.5])))
+            block["detrend_degree"] = degree
+            must_exit_two |= degree is not None and not (
+                isinstance(degree, int) and 0 <= degree <= 7)
+    cfg = {"schema_version": 1, "calibrate": block}
+    if draw(st.booleans()):
+        cfg["device"] = draw(st.sampled_from(["none", "paper-device", "bogus"]))
+        must_exit_two |= cfg["device"] != "none"
+    if draw(st.booleans()):
+        cfg["error"] = draw(st.sampled_from(
+            [None, {}, {"epsilon": 0.0}, {"epsilon": 0.3}, {"detuning_mhz": 5}, {"foo": 1}]))
+        must_exit_two |= cfg["error"] not in (None, {}, {"epsilon": 0.0})
+    texts = {name: "".join(ln + "\n" for ln in lns) for name, lns in files.items()}
+    return cfg, texts, must_exit_two
+
+
+def _rabi_case(text, **block):
+    cfg = {"schema_version": 1, "calibrate": dict({"kind": "rabi", "trace": "trace.csv"}, **block)}
+    return cfg, {"trace.csv": text}, True
+
+
+_GOOD_TRACE = "time_s,value\n" + "".join(f"{i}e-7,{0.5 + 0.1 * (-1) ** i}\n" for i in range(12))
+
+
+class TestCalibrateFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=calibrate_cases())
+    # each ended in a traceback: IndexError, a genfromtxt ValueError,
+    # "no field of name" ValueErrors, and LinAlgError from the detrend fit
+    @example(case=_rabi_case(""))
+    @example(case=_rabi_case(_GOOD_TRACE.replace("\n3e-7,0.4\n", "\n3e-7,0.4,1\n")))
+    @example(case=_rabi_case(_GOOD_TRACE.split("\n", 1)[1]))
+    @example(case=_rabi_case(_GOOD_TRACE.replace("time_s,value", "time_s,signal")))
+    @example(case=_rabi_case(_GOOD_TRACE, detrend_degree=299))
+    @example(case=_rabi_case(_GOOD_TRACE, detrend_degree=5000))
+    # valid times whose powers underflow: LinAlgError inside the detrend fit
+    @example(case=(_rabi_case(_GOOD_TRACE.replace("e-7,", "e-300,"), detrend_degree=1)[:2]
+                   + (False,)))
+    def test_every_calibrate_run_exits_cleanly(self, case):
+        cfg, texts, must_exit_two = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in texts.items():
+                (Path(tmp) / name).write_text(text)
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["calibrate", "--config", str(path), "--out",
+                                 str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if must_exit_two:
+            assert code == 2
+
+
 class TestMainEntry:
     def test_main_happy_path_exit_zero(self, tmp_path):
         path = write_config(tmp_path, gate_config())
@@ -1059,6 +1234,15 @@ class TestMainEntry:
             cli.main(["--version"])
         assert info.value.code == 0
         assert holosim.__version__ in capsys.readouterr().out
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        # it ended in a ValueError traceback from the sampled-shot generator
+        path = write_config(tmp_path, qpt_config(shots=40))
+        code = cli.main(["qpt", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--seed", "-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, qpt_config(shots=40))

@@ -236,7 +236,8 @@ class TestCavitySynthesis:
 
     def test_ramp_too_long_raises(self):
         with pytest.raises(OutOfRangeError):
-            hl.synthesize_cavity_gate(1.0, math.pi, 0.0, md.TWO_PI * 10e6, ramp=1e-6)
+            # the loop's area pi needs pi / g_total = 5 ns, less than DEFAULT_RAMP
+            hl.synthesize_cavity_gate(1.0, math.pi, 0.0, md.TWO_PI * 100e6)
 
     def test_encode_swap(self):
         dev = md.paper_device()

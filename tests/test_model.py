@@ -14,18 +14,15 @@ import pytest
 
 from holosim import model as md
 from holosim.errors import BadTransitionError, NegativeRateError
-from holosim.pulses import Constant, GateSchedule, PulseSegment
+from holosim.pulses import GateSchedule, PulseSegment, SquareWithRamps
 
 
 def segment(transition, phase, amp=1.0e6, duration=50e-9, start=0.0):
-    return PulseSegment(Constant(duration, amp), transition, phase, start)
+    return PulseSegment(SquareWithRamps(duration, ramp=0.0, peak_amplitude=amp),
+                        transition, phase, start)
 
 
 class TestContainers:
-    def test_anharmonicity(self):
-        dev = md.QutritDevice(omega_ge=md.TWO_PI * 5.0e9, omega_ef=md.TWO_PI * 4.75e9)
-        assert dev.anharmonicity == pytest.approx(-md.TWO_PI * 0.25e9)
-
     def test_noise_from_coherence_times(self):
         n = md.NoiseModel.from_coherence_times(
             t1_ge=50e-6, t2_ge=25e-6, t1_ef=20e-6, t2_ef=10e-6
@@ -48,8 +45,6 @@ class TestContainers:
 
     def test_paper_device_values(self):
         dev = md.paper_device()
-        assert dev.q1.anharmonicity < 0
-        assert dev.q2.anharmonicity < 0
         assert dev.q1_noise.gamma_eg == pytest.approx(1 / 45.6e-6)
         assert dev.cavity_noise.gamma_loss == pytest.approx(1 / 135e-6)
         # all dephasing rates must come out physical for these numbers

@@ -1,11 +1,13 @@
 """
 Repository-level contracts that no module test covers.
 
-The README's library quick start runs as written, and the benchmark
-tracer in perfbench/ still finds every from-import wrap point it expects,
-so renaming a traced function fails here rather than in a traced run.
+The README's library quick start runs as written, the benchmark tracer in
+perfbench/ still finds every from-import wrap point it expects, so renaming
+a traced function fails here rather than in a traced run, and no package
+module keeps an import it never uses.
 """
 
+import ast
 import contextlib
 import io
 import re
@@ -39,3 +41,21 @@ def test_benchmark_tracer_finds_every_wrap_point():
         assert trace.missing_wrap_points(installed) == []
     finally:
         trace.uninstall(installed)
+
+
+def test_every_imported_name_is_used():
+    # an import kept only for perfbench/trace.py to wrap carries "# noqa: F401"
+    unused = []
+    for path in sorted((ROOT / "src" / "holosim").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
