@@ -14,8 +14,8 @@ A Clifford string is a list of indices into the integer Clifford group
 (holonomic.clifford_group) from draw to survival: it is composed through
 the Cayley table and its recovery is read from the inverse table, with no
 2x2 algebra, and the same indices pick the channels from the stack built in
-group order. The survivals of all k sequences of one length are computed
-together, one string position at a time.
+group order. The k sequences of one length are drawn, composed and
+propagated as one block, one string position at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .holonomic import (
     HolonomicParams,
     clifford_group,
     find_recovery,
+    qubit_half,
     synthesize_qubit_gate,
     target_u1,
 )
@@ -156,26 +157,49 @@ class RbRun:
         write_json(path, payload)
 
 
-def random_sequence(m: int, seed, interleave: int | None = None):
-    """(draws, recovery): m uniform Clifford draws and the element closing them.
+def _entropy_words(values) -> list[int]:
+    """The uint32 words numpy's SeedSequence coerces a list of non-negative
+    ints into: each int as little-endian 32-bit words, 0 as one word."""
+    words = []
+    for v in map(int, values):
+        if v < 0:
+            raise OutOfRangeError(f"seed entries must be >= 0, got {v}")
+        words += [v >> shift & 0xFFFFFFFF for shift in range(0, max(v.bit_length(), 1), 32)]
+    return words
 
-    All are clifford_group() indices. ``draws`` is the int array drawn from
-    ``np.random.default_rng(seed)``. With ``interleave`` (a group index)
-    set, the recovery inverts the string with that element inserted after
-    every draw; ``draws`` still holds only the random draws. The string is
-    composed through the Cayley table and the recovery read from the
-    inverse table, so it is exact.
+
+def random_sequence(m: int, k: int, seed, interleave: int | None = None):
+    """(draws, recovery): k strings of m uniform Clifford draws, (k, m), and
+    the element closing each, (k,).
+
+    All are clifford_group() indices. Row j is drawn from
+    ``np.random.default_rng([*seed, j]).integers(0, 24, size=m)``: its
+    generator is seeded with the uint32 words that list coerces to, built
+    once as an array, which numpy takes as is. With ``interleave`` (a group
+    index) set, the recovery inverts the string with that element inserted
+    after every draw; ``draws`` still holds only the random draws. The k
+    strings are composed together through the Cayley table and the
+    recoveries read from the inverse table, so they are exact.
     """
     if m < 1:
         raise OutOfRangeError(f"sequence length must be >= 1, got {m}")
+    if k < 1:
+        raise OutOfRangeError(f"sequence count must be >= 1, got {k}")
     group = clifford_group()
-    draws = np.random.default_rng(seed).integers(0, len(group.elements), size=m)
-    product = group.identity
-    for i in draws.tolist():
-        product = group.cayley[i, product]
+    size = len(group.elements)
+    prefix = _entropy_words(seed)
+    rows = np.empty((k, len(prefix) + 1), dtype=np.uint32)
+    rows[:, :-1] = prefix
+    rows[:, -1] = np.arange(k)  # j < 2^32 is one word, as numpy coerces it
+    draws = np.empty((k, m), dtype=int)
+    for j, row in enumerate(rows):
+        draws[j] = np.random.default_rng(row).integers(0, size, size=m)
+    product = np.full(k, group.identity)
+    for column in draws.T:
+        product = group.cayley[column, product]
         if interleave is not None:
             product = group.cayley[interleave, product]
-    return draws, int(group.inverse[product])
+    return draws, group.inverse[product]
 
 
 def survival_probability(superops) -> float | np.ndarray:
@@ -196,9 +220,9 @@ def survival_probability(superops) -> float | np.ndarray:
     return float(ground) if ground.ndim == 0 else ground
 
 
-def _gate_channel(cfg: RbConfig, params: HolonomicParams) -> np.ndarray:
+def _gate_channel(cfg: RbConfig, params: HolonomicParams, half) -> np.ndarray:
     return schedule_channel(
-        synthesize_qubit_gate(params), noise=cfg.noise, err=cfg.err, steps=cfg.steps
+        synthesize_qubit_gate(params, half), noise=cfg.noise, err=cfg.err, steps=cfg.steps
     )
 
 
@@ -218,11 +242,8 @@ def _survivals(cfg: RbConfig, stack, stream: int, interleave, gate_channel) -> n
     ``interleave`` is the group index of the interleaved gate or None."""
     survivals = np.empty((len(cfg.lengths), cfg.k))
     for mi, m in enumerate(cfg.lengths):
-        strings = np.empty((cfg.k, m + 1), dtype=int)  # m draws, then the recovery
-        for j in range(cfg.k):
-            strings[j, :m], strings[j, m] = random_sequence(
-                m, [cfg.seed, stream, m, j], interleave
-            )
+        draws, recovery = random_sequence(m, cfg.k, [cfg.seed, stream, m], interleave)
+        strings = np.column_stack([draws, recovery])  # m draws, then the recovery
         survivals[mi] = survival_probability(_channels(stack, strings, gate_channel))
     return survivals
 
@@ -235,7 +256,8 @@ def run_rb(cfg: RbConfig) -> RbRun:
     order; the interleaved experiment uses fresh sequences (stream 1).
     """
     table = clifford_group().elements
-    stack = np.stack([_gate_channel(cfg, params) for params in table])
+    half = qubit_half()  # every gate shares the normalized half envelope
+    stack = np.stack([_gate_channel(cfg, params, half) for params in table])
 
     def record(survivals):
         means = survivals.mean(axis=1)
@@ -258,7 +280,7 @@ def run_rb(cfg: RbConfig) -> RbRun:
     if table[gate_index] == gate_params:
         gate_channel = stack[gate_index]
     else:  # the same Clifford up to phase, realized by another loop
-        gate_channel = _gate_channel(cfg, gate_params)
+        gate_channel = _gate_channel(cfg, gate_params, half)
     interleaved = record(_survivals(cfg, stack, 1, gate_index, gate_channel))
     return RbRun(
         reference=reference,

@@ -40,6 +40,10 @@ TWO_PI = 2.0 * math.pi
 #: largest detrend polynomial degree: below Trace's 8-sample minimum, so the
 #: trend never interpolates the samples
 MAX_DETREND_DEGREE = 7
+#: largest magnitude of a number in a calibration CSV: far beyond any time
+#: (s), frequency (rad/s) or signal, and small enough that no fit's squared
+#: residuals, Jacobian products or covariance overflow
+MAX_CSV_MAGNITUDE = 1e60
 
 
 # ---- traces ----
@@ -84,8 +88,12 @@ class Trace:
         subtract a least-squares polynomial trend of degree 0 to
         MAX_DETREND_DEGREE.
 
-        The detrend flag mirrors the background-subtraction step used on
-        hardware traces; simulated traces never need it.
+        The trend is fitted and evaluated in the normalized time
+        s = (t - t0) / span in [0, 1], so no power of a time underflows or
+        overflows whatever the time unit; t is first divided by its largest
+        magnitude, so the difference cannot overflow either. The detrend flag
+        mirrors the background-subtraction step used on hardware traces;
+        simulated traces never need it.
         """
         if detrend_degree is not None and not 0 <= detrend_degree <= MAX_DETREND_DEGREE:
             raise OutOfRangeError(
@@ -94,20 +102,23 @@ class Trace:
         trace = cls(*read_csv_columns(path, ("time_s", "value")), label=label)
         if detrend_degree is None:
             return trace
+        u = trace.times / np.max(np.abs(trace.times))
+        s = (u - u[0]) / (u[-1] - u[0])
         try:
-            coeffs = np.polyfit(trace.times, trace.values, detrend_degree)
+            coeffs = np.polyfit(s, trace.values, detrend_degree)
         except np.linalg.LinAlgError as exc:
             raise FitDivergenceError(f"cannot detrend {path}: {exc}") from exc
-        return dataclasses.replace(trace, values=trace.values - np.polyval(coeffs, trace.times))
+        return dataclasses.replace(trace, values=trace.values - np.polyval(coeffs, s))
 
 
 def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """The two float columns of a CSV file: a header line naming them, then
-    one ``x,y`` row of two finite numbers per line; blank lines are skipped.
+    one ``x,y`` row of two finite numbers of magnitude at most
+    MAX_CSV_MAGNITUDE per line; blank lines are skipped.
 
     Traces (``time_s,value``) and chevron points
     (``offset_rad_s,omega_r_rad_s``) share this format. An unreadable file,
-    a missing header, no data row, or a row that is not two finite numbers
+    a missing header, no data row, or a row that is not two such numbers
     raises IoError naming the file and the line.
     """
     try:
@@ -129,8 +140,9 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
             row = [float(cell) for cell in ln.split(",")]
         except ValueError:
             row = []
-        if len(row) != 2 or not all(math.isfinite(x) for x in row):
-            raise IoError(f"{path} line {n}: expected two finite numbers, got {ln!r}")
+        if len(row) != 2 or not all(abs(x) <= MAX_CSV_MAGNITUDE for x in row):
+            raise IoError(f"{path} line {n}: expected two finite numbers of magnitude "
+                          f"at most {MAX_CSV_MAGNITUDE:g}, got {ln!r}")
         rows.append(row)
     xs, ys = np.array(rows).T.copy()
     return xs, ys

@@ -82,6 +82,7 @@ from .holonomic import (
     CAVITY_GATES,
     QUBIT_GATES,
     HolonomicParams,
+    qubit_half,
     synthesis_infidelity,
     synthesize_qubit_gate,
     target_u1,
@@ -324,7 +325,7 @@ def _run_gate(cfg, ctx: RunContext):
     env = _parse_envelope(block.get("envelope"), "gate.envelope")
     steps = _bounded_int(block, "steps", "gate", GATE_STEPS, 4, MAX_STEPS)
 
-    schedule = synthesize_qubit_gate(params, base=env)
+    schedule = synthesize_qubit_gate(params, qubit_half(env))
     u = schedule_unitary(schedule, ctx.err, steps)
     infid = synthesis_infidelity(u, params)
     leakage = float(abs(u[1, 0]) ** 2 + abs(u[1, 2]) ** 2)
@@ -365,7 +366,7 @@ def _run_qpt(cfg, ctx: RunContext):
     elif ctx.shots_override is not None:
         shots = ctx.shots_override
 
-    schedule = synthesize_qubit_gate(params, base=env)
+    schedule = synthesize_qubit_gate(params, qubit_half(env))
     res = tm.simulate_qpt(
         schedule, noise=ctx.noise, err=ctx.err, shots=shots, seed=ctx.seed,
         steps=steps, mle=mle, project=project,

@@ -111,26 +111,19 @@ class Trajectory:
         return np.real(np.einsum("tii->ti", self.states))
 
 
-def _eval_hamiltonian(h, times: np.ndarray, dim: int) -> np.ndarray:
+def _eval_hamiltonian(h, times: np.ndarray) -> np.ndarray:
     """Evaluate h on an array of times, accepting vectorized or scalar h.
 
-    A vectorized h may return leading batch axes, (..., times.size, dim, dim).
+    Returns (..., times.size, d, d); a vectorized h may return leading batch
+    axes. d is read from the result, which must be square.
     """
     out = np.asarray(h(times))
-    if out.shape[-3:] == (times.size, dim, dim):
-        return out.astype(complex)
-    # non-vectorized callable: fall back to a loop
-    stack = np.empty((times.size, dim, dim), dtype=complex)
-    for k, t in enumerate(times):
-        stack[k] = h(float(t))
-    return stack
-
-
-def _probe_dim(h, t: float) -> int:
-    m = np.asarray(h(t))
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"hamiltonian returned shape {m.shape}")
-    return m.shape[-1]
+    if out.ndim < 3 or out.shape[-3] != times.size:
+        # non-vectorized callable: fall back to a loop
+        out = np.stack([np.asarray(h(float(t))) for t in times])
+    if out.ndim < 3 or out.shape[-1] != out.shape[-2]:
+        raise DimensionMismatchError(f"hamiltonian returned shape {out.shape}")
+    return out.astype(complex)
 
 
 def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
@@ -201,10 +194,10 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     StepTooLargeError. Then a batch member whose Hamiltonian is the same at
     every node is one exact exponential over the whole grid.
     """
-    dim = _probe_dim(h, grid.t0)
     starts = grid.t0 + grid.dt * np.arange(grid.steps)
     nodes = starts[:, None] + grid.dt * np.array([_C1, _C2])  # t_k + c dt
-    h_gauss = _eval_hamiltonian(h, nodes.reshape(-1), dim)
+    h_gauss = _eval_hamiltonian(h, nodes.reshape(-1))
+    dim = h_gauss.shape[-1]
     if not is_hermitian(h_gauss, 1e-8):
         raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
     _check_step_phase(h_gauss, grid.dt)
@@ -221,20 +214,34 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
 
 # ---- Lindblad integration ----
 
+#: (key, superoperator) of the latest dissipator: every channel of a run
+#: shares one noise model, so one entry saves all rebuilds but the first
+_last_dissipator: tuple = (None, None)
+
+
 def _dissipator(collapse_ops, dim: int) -> np.ndarray:
-    """Constant part of the Liouvillian superoperator (row-major vec)."""
+    """Constant part of the Liouvillian superoperator (row-major vec),
+    read-only. Collapse operators with the same bytes as the previous
+    call's get the previous (bit-identical) result back."""
+    global _last_dissipator
     ops = [np.asarray(c, dtype=complex) for c in collapse_ops]
     for c in ops:
         if c.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"collapse operator shape {c.shape}, expected {(dim, dim)}"
             )
+    key = (dim, tuple(c.tobytes() for c in ops))
+    last_key, last = _last_dissipator
+    if key == last_key:
+        return last
     anti = sum((dagger(c) @ c for c in ops), np.zeros((dim, dim), dtype=complex))
     eye = np.eye(dim)
     sup = np.zeros((dim * dim, dim * dim), dtype=complex)
     for c in ops:
         sup += np.kron(c, c.conj())
     sup -= 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+    sup.flags.writeable = False
+    _last_dissipator = (key, sup)
     return sup
 
 
@@ -312,18 +319,19 @@ def _rk4_maps(l_nodes: np.ndarray, l_mids: np.ndarray, dt: float) -> np.ndarray:
 _CHUNK_ENTRIES = 32 * 36 * 36
 
 
-def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid, dim: int):
+def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
     """Dissipator and the node and midpoint Hamiltonian stacks of a Lindblad
     grid, plus its constant Liouvillian (None unless H is the same, exact ==,
     at every node and midpoint).
 
-    The Liouvillian step guard runs first, so a constant piece is refused
-    exactly where a stepped one is.
+    H is evaluated on the nodes and midpoints in one call, and the
+    dimension is read from it. The Liouvillian step guard runs first, so a
+    constant piece is refused exactly where a stepped one is.
     """
-    diss = _dissipator(collapse_ops, dim)
     nodes, mids = _rk4_nodes(grid)
-    h_nodes = _eval_hamiltonian(h, nodes, dim)
-    h_mids = _eval_hamiltonian(h, mids, dim)
+    h_all = _eval_hamiltonian(h, np.concatenate([nodes, mids]))
+    h_nodes, h_mids = h_all[: nodes.size], h_all[nodes.size :]
+    diss = _dissipator(collapse_ops, h_all.shape[-1])
     _check_liouvillian_step((h_nodes, h_mids), diss, grid.dt)
     flat = np.all(h_nodes == h_nodes[0]) and np.all(h_mids == h_nodes[0])
     l_const = _liouvillians(h_nodes[:1], diss)[0] if flat else None
@@ -356,7 +364,11 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
-    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid, dim)
+    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid)
+    if h_nodes.shape[-1] != dim:
+        raise DimensionMismatchError(
+            f"hamiltonian is {h_nodes.shape[-1]}-dimensional, rho0 {dim}-dimensional"
+        )
     if l_const is None:
         chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
     else:
@@ -388,11 +400,10 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     reduced by the pairwise tree product, so no Python loop runs over
     steps. The result equals propagating every input state.
     """
-    dim = _probe_dim(h, grid.t0)
-    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid, dim)
+    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid)
     if l_const is not None:
         return expm(l_const * (grid.t1 - grid.t0))
-    s = np.eye(dim * dim, dtype=complex)
+    s = np.eye(diss.shape[0], dtype=complex)
     for maps in _step_maps(diss, h_nodes, h_mids, grid.dt):
         s = _ordered_product(maps) @ s
     return s

@@ -169,21 +169,29 @@ def cavity_synthesis_infidelity(
 
 # ---- schedule synthesis ----
 
+def qubit_half(base: Envelope | None = None) -> Envelope:
+    """The envelope of ONE half of a qubit gate: ``base`` (default truncated
+    Gaussian, sigma 15 ns, 60 ns long, for the standard 120 ns gate)
+    normalized to area pi/2."""
+    if base is None:
+        base = TruncatedGaussian(sigma=DEFAULT_HALF_SIGMA)
+    return normalize_to_area(base, HALF_AREA)
+
+
 def synthesize_qubit_gate(
     params: HolonomicParams,
-    base: Envelope | None = None,
+    half: Envelope | None = None,
 ) -> GateSchedule:
     """Two-half schedule realizing target_u1 on the (g, f) qubit.
 
-    ``base`` is the envelope of ONE half (default truncated Gaussian,
-    sigma 15 ns, 60 ns long, for the standard 120 ns gate). It is
-    normalized to area pi/2 and split between the tones as
+    ``half`` is the envelope of ONE half at area pi/2, as qubit_half
+    returns it (default ``qubit_half()``), so a caller that builds many
+    gates normalizes once. It is split between the tones as
     Omega_ge = Omega sin(theta/2), Omega_ef = Omega cos(theta/2); theta = 0
     or pi simply silences one tone.
     """
-    if base is None:
-        base = TruncatedGaussian(sigma=DEFAULT_HALF_SIGMA)
-    half = normalize_to_area(base, HALF_AREA)
+    if half is None:
+        half = qubit_half()
     t_half = half.duration
     s = math.sin(params.theta / 2.0)
     c = math.cos(params.theta / 2.0)

@@ -49,8 +49,7 @@ def synthetic_survivals(lengths, d, seed, k):
     means = []
     for m in lengths:
         vals = []
-        for j in range(k):
-            draws, recovery = rb.random_sequence(m, [seed, m, j])
+        for draws, recovery in zip(*rb.random_sequence(m, k, [seed, m])):
             ops = []
             for i in draws:
                 ops.append(sups[i])
@@ -124,17 +123,15 @@ class TestConfig:
 
 class TestSequences:
     def test_draws_come_from_table_and_close(self):
-        rng_seeds = [[11, m, j] for m in (1, 3, 7) for j in range(5)]
-        for seed in rng_seeds:
-            m = seed[1]
-            draws, recovery = rb.random_sequence(m, seed)
-            assert len(draws) == m
-            assert all(0 <= i < len(TABLE) for i in draws)
-            product = np.eye(2, dtype=complex)
-            for i in draws:
-                product = hl.target_u1(TABLE[i]) @ product
-            closed = hl.target_u1(TABLE[recovery]) @ product
-            assert phase_aligned_distance(closed, np.eye(2)) < 1e-10
+        for m in (1, 3, 7):
+            for draws, recovery in zip(*rb.random_sequence(m, 5, [11, m])):
+                assert len(draws) == m
+                assert all(0 <= i < len(TABLE) for i in draws)
+                product = np.eye(2, dtype=complex)
+                for i in draws:
+                    product = hl.target_u1(TABLE[i]) @ product
+                closed = hl.target_u1(TABLE[recovery]) @ product
+                assert phase_aligned_distance(closed, np.eye(2)) < 1e-10
 
     def test_x_pi_recovers_itself(self):
         # X_pi is self-inverse up to phase, so it is its own recovery
@@ -145,7 +142,7 @@ class TestSequences:
         rng = np.random.default_rng(23)
         for _ in range(10):
             m = int(rng.integers(1, 12))
-            draws, _ = rb.random_sequence(m, [int(rng.integers(1 << 30))])
+            draws = rb.random_sequence(m, 1, [int(rng.integers(1 << 30))])[0][0]
             product = np.eye(2, dtype=complex)
             for i in draws:
                 product = hl.target_u1(TABLE[i]) @ product
@@ -158,7 +155,7 @@ class TestSequences:
             assert len(hits) == 1
 
     def test_interleaved_recovery_closes_full_string(self):
-        draws, recovery = rb.random_sequence(6, [31], interleave=TABLE.index(X_PI))
+        (draws,), (recovery,) = rb.random_sequence(6, 1, [31], interleave=TABLE.index(X_PI))
         product = np.eye(2, dtype=complex)
         for i in draws:
             product = hl.target_u1(X_PI) @ hl.target_u1(TABLE[i]) @ product
@@ -166,24 +163,51 @@ class TestSequences:
         assert phase_aligned_distance(closed, np.eye(2)) < 1e-10
 
     def test_seeded_draws_are_deterministic(self):
-        a, ra = rb.random_sequence(8, [5, 8, 0])
-        b, rbk = rb.random_sequence(8, [5, 8, 0])
-        c, _ = rb.random_sequence(8, [6, 8, 0])
-        assert np.array_equal(a, b) and ra == rbk
+        a, ra = rb.random_sequence(8, 3, [5, 8])
+        b, rbk = rb.random_sequence(8, 3, [5, 8])
+        c, _ = rb.random_sequence(8, 3, [6, 8])
+        assert np.array_equal(a, b) and np.array_equal(ra, rbk)
         assert not np.array_equal(a, c)
 
     def test_zero_length_rejected(self):
         with pytest.raises(OutOfRangeError):
-            rb.random_sequence(0, [1])
+            rb.random_sequence(0, 1, [1])
+
+    def test_zero_count_and_negative_seed_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            rb.random_sequence(3, 0, [1])
+        with pytest.raises(OutOfRangeError):
+            rb.random_sequence(3, 1, [1, -2])
 
     @pytest.mark.parametrize("seed,m,draws,recovery,recovery_h", PINNED_SEQUENCES)
     def test_pinned_draws_and_recoveries(self, seed, m, draws, recovery, recovery_h):
-        got, rec = rb.random_sequence(m, seed)
-        assert got.tolist() == draws
-        assert rec == recovery
-        got_h, rec_h = rb.random_sequence(m, seed, TABLE.index(hl.QUBIT_GATES["H"]))
+        *prefix, j = seed  # row j of a block drawn with the entropy prefix
+        got, rec = rb.random_sequence(m, j + 1, prefix)
+        assert got[j].tolist() == draws
+        assert rec[j] == recovery
+        got_h, rec_h = rb.random_sequence(m, j + 1, prefix, TABLE.index(hl.QUBIT_GATES["H"]))
         assert np.array_equal(got_h, got)
-        assert rec_h == recovery_h
+        assert rec_h[j] == recovery_h
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**40])
+    @pytest.mark.parametrize("interleave", [None, 7])
+    def test_block_rows_equal_per_cell_generators(self, seed, interleave):
+        # seeds from 2^32 on coerce to more than one uint32 word; every row
+        # is still the draw of its own default_rng([seed, stream, m, j]) and
+        # every recovery the inverse of that row's Cayley fold
+        group = hl.clifford_group()
+        for stream, m in ((0, 1), (1, 9), (0, 20)):
+            draws, recovery = rb.random_sequence(m, 6, [seed, stream, m], interleave)
+            assert draws.shape == (6, m) and recovery.shape == (6,)
+            for j in range(6):
+                row = np.random.default_rng([seed, stream, m, j]).integers(0, 24, size=m)
+                assert np.array_equal(draws[j], row)
+                product = group.identity
+                for i in row.tolist():
+                    product = group.cayley[i, product]
+                    if interleave is not None:
+                        product = group.cayley[interleave, product]
+                assert recovery[j] == group.inverse[product]
 
     def test_interleave_outside_table_params_uses_its_group_element(self):
         # Y_pi's published phi differs from its table entry by a global
@@ -192,7 +216,7 @@ class TestSequences:
         y_pi = hl.QUBIT_GATES["Y_pi"]
         assert y_pi not in TABLE
         gate = rb._group_index(y_pi)
-        draws, recovery = rb.random_sequence(7, [3, 1, 7, 0], interleave=gate)
+        (draws,), (recovery,) = rb.random_sequence(7, 1, [3, 1, 7], interleave=gate)
         product = np.eye(2, dtype=complex)
         for i in draws:
             product = hl.target_u1(y_pi) @ hl.target_u1(TABLE[i]) @ product

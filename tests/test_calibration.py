@@ -9,6 +9,7 @@ swap coupling 2 pi x 0.845 MHz; randomized draws cover the physical ranges.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,42 @@ class TestTrace:
         for degree in (-1, cal.MAX_DETREND_DEGREE + 1):
             with pytest.raises(OutOfRangeError):
                 cal.Trace.from_csv(tmp_path / "raw.csv", detrend_degree=degree)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_normalized_time_detrend_matches_raw_time_fit(self, tmp_path, degree):
+        # on ordinary traces the raw-time fit is well conditioned up to
+        # degree 2 (at degree 3 it loses digits itself); there the trend of
+        # s = (t - t0) / span is the same polynomial to rounding
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(8, 300))
+            times = np.sort(rng.uniform(0.0, 20e-6, 1)[0] + rng.uniform(1e-6, 60e-6) *
+                            rng.uniform(0.0, 1.0, n))
+            values = (0.5 + 0.3 * np.cos(TWO_PI * rng.uniform(0.1e6, 3e6) * times)
+                      + rng.uniform(-1.0, 1.0) * 1e4 * times + rng.normal(0.0, 0.02, n))
+            cal.Trace(times, values).to_csv(tmp_path / "raw.csv")
+            flat = cal.Trace.from_csv(tmp_path / "raw.csv", detrend_degree=degree).values
+            raw = values - np.polyval(np.polyfit(times, values, degree), times)
+            assert np.max(np.abs(flat - raw)) <= 1e-12 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("unit", [1e-300, 1e-50, 1.0, 1e50])
+    def test_detrend_is_independent_of_the_time_unit(self, tmp_path, unit, capfd):
+        # powers of raw times like these under- or overflowed inside
+        # np.polyfit, which warned, printed LAPACK's DLASCL complaint and
+        # raised; in normalized time every unit fits the same trend
+        steps = np.arange(12.0)
+        values = 0.5 + 0.1 * (-1.0) ** steps + 0.01 * steps
+        cal.Trace(unit * steps, values).to_csv(tmp_path / "raw.csv")
+        s = steps / steps[-1]
+        for degree in range(cal.MAX_DETREND_DEGREE + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                flat = cal.Trace.from_csv(tmp_path / "raw.csv", detrend_degree=degree).values
+            expected = values - np.polyval(np.polyfit(s, values, degree), s)
+            # s differs from steps / 11 by rounding, which a degree-7 fit on
+            # 12 points amplifies about 1e4-fold
+            assert np.max(np.abs(flat - expected)) < 1e-10
+        assert capfd.readouterr().out == ""
 
     def test_chevron_point_requires_positive_frequency(self):
         with pytest.raises(OutOfRangeError):

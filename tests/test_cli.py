@@ -9,6 +9,8 @@ byte for byte while timestamps stay confined to the manifest.
 """
 
 import contextlib
+import ctypes
+import hashlib
 import io
 import json
 import math
@@ -51,6 +53,17 @@ def gate_config(**extra):
     cfg = {"schema_version": 1, "gate": {"name": "X_pi", "steps": SMALL_STEPS}}
     cfg.update(extra)
     return cfg
+
+
+#: a small interleaved-H rb run on the paper device and the sha256 of its
+#: result files, pinned when they were produced
+SMALL_RB = {"schema_version": 1, "seed": 5, "device": "paper-device",
+            "rb": {"m_max": 10, "k": 10, "interleaved": "H", "steps": SMALL_STEPS}}
+SMALL_RB_SHA256 = {
+    "rb_summary.json": "d23a7c49d4fc2366d262e26088c6c33224debfc991f921c2706197cf181caf5e",
+    "rb_reference.csv": "200db4bd591b16e189276785634fceb0283a2c09b1647d57102618893ff23489",
+    "rb_interleaved.csv": "6109e29c0ab5d372c0fc4a11c1346debfcba1fdefef402b938ec3544ab3f3d04",
+}
 
 
 def qpt_config(**block):
@@ -337,6 +350,13 @@ class TestManifest:
 
 
 class TestDeterminism:
+    def test_rb_artifacts_match_pinned_digests(self, tmp_path):
+        # any rounding change on the rb path (channels, draws, survivals,
+        # fit) changes these bytes
+        run_ok("rb", write_config(tmp_path, SMALL_RB), tmp_path / "out")
+        for name, digest in SMALL_RB_SHA256.items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
     def test_gate_reports_are_byte_identical(self, tmp_path):
         path = write_config(tmp_path, gate_config())
         run_ok("gate", path, tmp_path / "a")
@@ -380,12 +400,14 @@ class TestDeterminism:
         grid_b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert grid_a == grid_b
 
-    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate", "cavity", "sweep"])
+    @pytest.mark.parametrize("subcommand", ["qpt", "calibrate", "cavity", "sweep", "rb"])
     def test_artifacts_independent_of_blas_threads(self, tmp_path, subcommand):
         # OpenBLAS may split one kernel across threads and change its
         # rounding, so each run is a fresh process with its own thread count
         if subcommand == "qpt":
             cfg = qpt_config(shots=200)
+        elif subcommand == "rb":
+            cfg = SMALL_RB
         elif subcommand == "cavity":
             cfg = {"schema_version": 1, "device": "paper-device",
                    "cavity": {"gate": "X_pi"}}
@@ -1152,6 +1174,39 @@ def _rabi_case(text, **block):
 _GOOD_TRACE = "time_s,value\n" + "".join(f"{i}e-7,{0.5 + 0.1 * (-1) ** i}\n" for i in range(12))
 
 
+@contextlib.contextmanager
+def native_stdout(sink: list):
+    """Append to ``sink`` what is written to file descriptor 1 inside the
+    block, C stdio buffers included: LAPACK's argument checks print there,
+    past sys.stdout."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    with tempfile.TemporaryFile() as tmp:
+        os.dup2(tmp.fileno(), 1)
+        try:
+            yield
+        finally:
+            ctypes.CDLL(None).fflush(None)
+            os.dup2(saved, 1)
+            os.close(saved)
+            tmp.seek(0)
+            sink.append(tmp.read().decode(errors="replace"))
+
+
+def _calibrate_exit(cfg, texts):
+    """(exit code, stderr, native stdout) of one in-process calibrate run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err, out = io.StringIO(), []
+        with contextlib.redirect_stderr(err), native_stdout(out):
+            code = cli.main(["calibrate", "--config", str(path), "--out",
+                             str(Path(tmp) / "out")])
+    return code, err.getvalue(), out[0]
+
+
 class TestCalibrateFuzz:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1164,24 +1219,71 @@ class TestCalibrateFuzz:
     @example(case=_rabi_case(_GOOD_TRACE.replace("time_s,value", "time_s,signal")))
     @example(case=_rabi_case(_GOOD_TRACE, detrend_degree=299))
     @example(case=_rabi_case(_GOOD_TRACE, detrend_degree=5000))
-    # valid times whose powers underflow: LinAlgError inside the detrend fit
+    # valid times whose powers underflow: a raw-time detrend fit printed
+    # LAPACK's DLASCL complaint and raised LinAlgError; it fits in
+    # normalized time now
     @example(case=(_rabi_case(_GOOD_TRACE.replace("e-7,", "e-300,"), detrend_degree=1)[:2]
                    + (False,)))
     def test_every_calibrate_run_exits_cleanly(self, case):
         cfg, texts, must_exit_two = case
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, text in texts.items():
-                (Path(tmp) / name).write_text(text)
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(cfg))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = cli.main(["calibrate", "--config", str(path), "--out",
-                                 str(Path(tmp) / "out")])
+        code, err, native = _calibrate_exit(cfg, texts)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+        assert native == ""
         if must_exit_two:
             assert code == 2
+
+
+@st.composite
+def extreme_calibrate_cases(draw):
+    """(config, {file name: contents}) of well-formed calibrate runs of every
+    kind whose times and values sit at scales from 1e-300 to 1e300, with
+    either sign: acceptance-like shapes or plain noise."""
+    kind = draw(st.sampled_from(["rate_equation", "ramsey", "rabi", "chevron"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 40))
+    x_scale = 10.0 ** draw(st.integers(-300, 300))
+    y_scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-300, 300))
+    shift = draw(st.sampled_from([0.0, -0.5 * n, 1e6]))
+    steps = np.cumsum(rng.uniform(0.2, 1.0, n))
+    x = x_scale * (shift + steps)  # strictly increasing: spacing >= 2e-7 of |x|
+    tau = (steps - steps[0]) / (steps[-1] - steps[0])  # the shape's own time axis
+    noise = draw(st.booleans())
+
+    def shape(clean):
+        return y_scale * (rng.uniform(-1.0, 1.0, n) if noise else clean)
+
+    if kind == "chevron":
+        offsets = np.linspace(-2.0, 2.0, n)
+        x = x_scale * (offsets + draw(st.sampled_from([0.0, 0.5])))
+        columns = {"points.csv": (x, np.abs(shape(np.hypot(offsets, 0.3))))}
+        block = {"kind": kind, "points": "points.csv"}
+    elif kind == "rate_equation":
+        p_f = np.exp(-2.0 * tau)
+        p_e = 2.0 * (np.exp(-tau) - np.exp(-2.0 * tau))
+        columns = {f"pop_{lv}.csv": (x, shape(p)) for lv, p in
+                   zip("gef", (1.0 - p_e - p_f, p_e, p_f))}
+        block = dict({"kind": kind}, **{f"trace_{lv}": f"pop_{lv}.csv" for lv in "gef"})
+    else:
+        tone = np.cos(TWO_PI * rng.uniform(2.0, 8.0) * tau) * np.exp(-tau / rng.uniform(0.3, 3.0))
+        columns = {"trace.csv": (x, shape(0.5 + 0.4 * tone))}
+        block = {"kind": kind, "trace": "trace.csv"}
+        if draw(st.booleans()):
+            block["detrend_degree"] = draw(st.integers(0, 7))
+    header = "offset_rad_s,omega_r_rad_s" if kind == "chevron" else "time_s,value"
+    texts = {name: header + "\n" + "".join(f"{float(u)!r},{float(v)!r}\n" for u, v in zip(*xy))
+             for name, xy in columns.items()}
+    return {"schema_version": 1, "calibrate": block}, texts
+
+
+class TestCalibrateNumericFuzz:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=extreme_calibrate_cases())
+    def test_extreme_scales_exit_cleanly(self, case):
+        code, err, native = _calibrate_exit(*case)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert native == ""
 
 
 class TestMainEntry:

@@ -24,6 +24,7 @@ from holosim import holonomic as hl
 from holosim import model as md
 from holosim import sweeps as sw
 from holosim.errors import (
+    DimensionMismatchError,
     NonHermitianInputError,
     OutOfRangeError,
     StepTooLargeError,
@@ -230,6 +231,25 @@ class TestLindblad:
                 lambda t: np.zeros((3, 3)), [c], rho0, ev.TimeGrid(0, 1e-6, 10)
             )
 
+    def test_hamiltonian_shape_mismatches_rejected(self):
+        # the dimension is read from the evaluated Hamiltonian stack; a
+        # non-square one, or one that disagrees with rho0, is refused
+        grid = ev.TimeGrid(0, 1e-6, 10)
+        with pytest.raises(DimensionMismatchError):
+            ev.channel_superoperator(lambda t: np.zeros((3, 2)), [], grid)
+        with pytest.raises(DimensionMismatchError):
+            ev.propagate_unitary(lambda t: np.zeros(3), grid)
+        with pytest.raises(DimensionMismatchError):
+            ev.propagate_lindblad(lambda t: np.zeros((3, 3)), [], np.eye(2) / 2, grid)
+
+    def test_repeated_dissipator_is_the_same_read_only_superoperator(self):
+        ops = md.collapse_operators(md.paper_device().q1_noise)
+        first = ev._dissipator(ops, 3)
+        again = ev._dissipator([np.array(c) for c in ops], 3)
+        assert again is first and not first.flags.writeable
+        other = ev._dissipator(ops[:1], 3)
+        assert other is not first and not np.array_equal(other, first)
+
 
 class TestSuperoperators:
     def test_unitary_channel(self):
@@ -296,7 +316,7 @@ class TestScheduleDrivers:
         # the piece threshold is relative to the duration: a 40 as half-loop
         # (sigma 1e-17 s) is the same gate as a 60 ns one, not the identity
         h = hl.QUBIT_GATES["H"]
-        sched = hl.synthesize_qubit_gate(h, base=TruncatedGaussian(sigma=1e-17))
+        sched = hl.synthesize_qubit_gate(h, hl.qubit_half(TruncatedGaussian(sigma=1e-17)))
         assert len(ev._piece_grids(sched, 512)) == 2
         u = ev.schedule_unitary(sched, steps=512)
         assert hl.synthesis_infidelity(u, h) < 1e-12

@@ -178,7 +178,7 @@ class TestQubitSynthesis:
     def test_custom_envelope(self):
         p = hl.QUBIT_GATES["X_pi"]
         base = TruncatedGaussian(sigma=25e-9)
-        sched = hl.synthesize_qubit_gate(p, base=base)
+        sched = hl.synthesize_qubit_gate(p, hl.qubit_half(base))
         assert sched.duration == pytest.approx(200e-9)
         u = ev.schedule_unitary(sched)
         assert hl.synthesis_infidelity(u, p) < 1e-9
