@@ -12,8 +12,15 @@ duration/4096:
   second order. The exponentials are operators.expm_hermitian (a closed
   form, entry by entry, for qutrit spaces; a batched Hermitian
   eigendecomposition for six-level ones), reduced by a pairwise tree
-  product. The Hamiltonian stack may carry leading batch axes (a block of
-  sweep cells runs the same code as one schedule), and a grid whose
+  product. The Hamiltonian builders store their stacks entry-major, a
+  (d, d, ..., N) array viewed as (..., N, d, d), so each entry h[..., i, j]
+  is one contiguous array. For qutrit spaces the exponential reads and
+  writes those entry arrays, and the tree product forms each entry of a 3x3
+  product as a sum of three products of entry arrays, with no matmul call
+  per pair; six-level spaces keep batched matmuls. Neither path's bits
+  depend on the stack's layout, and the propagator comes back C-ordered.
+  The Hamiltonian stack may carry leading batch axes (a block of sweep
+  cells runs the same code as one schedule), and a grid whose
   Hamiltonian is constant is one exact exponential;
 * Lindblad: on a piece whose Hamiltonian is the same (exact ==) at every
   RK4 node and midpoint, the Liouvillian L = -i[H, .] + sum_k D[L_k] is
@@ -123,7 +130,7 @@ def _eval_hamiltonian(h, times: np.ndarray) -> np.ndarray:
         out = np.stack([np.asarray(h(float(t))) for t in times])
     if out.ndim < 3 or out.shape[-1] != out.shape[-2]:
         raise DimensionMismatchError(f"hamiltonian returned shape {out.shape}")
-    return out.astype(complex)
+    return out.astype(complex, copy=False)
 
 
 def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
@@ -138,14 +145,35 @@ def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """prod_k mats[..., k, :, :] with the last k leftmost, by pairwise tree
-    reduction over axis -3; leading axes are batch axes."""
+    reduction over axis -3; leading axes are batch axes.
+
+    3x3 factors are multiplied entry by entry on entry-major (3, 3, ..., k)
+    arrays, each entry of a product a sum of three products of entry arrays,
+    in place of one small matmul per pair; the tree and its association are
+    the same for every d, and the 3x3 result is the (..., 3, 3) view of an
+    entry-major array."""
     acc = mats[..., ::-1, :, :]  # acc[..., 0, :, :] is the leftmost factor
-    while acc.shape[-3] > 1:
-        n = acc.shape[-3]
+    if mats.shape[-1] != 3:
+        while acc.shape[-3] > 1:
+            n = acc.shape[-3]
+            m = n - n % 2
+            paired = np.matmul(acc[..., 0:m:2, :, :], acc[..., 1:m:2, :, :])
+            acc = np.concatenate([paired, acc[..., m:, :, :]], axis=-3) if n % 2 else paired
+        return acc[..., 0, :, :]
+    acc = np.moveaxis(acc, (-2, -1), (0, 1))
+    while acc.shape[-1] > 1:
+        n = acc.shape[-1]
         m = n - n % 2
-        paired = np.matmul(acc[..., 0:m:2, :, :], acc[..., 1:m:2, :, :])
-        acc = np.concatenate([paired, acc[..., m:, :, :]], axis=-3) if n % 2 else paired
-    return acc[..., 0, :, :]
+        left, right = acc[..., 0:m:2], acc[..., 1:m:2]
+        paired = np.empty(acc.shape[:-1] + ((n + 1) // 2,), dtype=acc.dtype)
+        for i, j in np.ndindex(3, 3):
+            out = paired[i, j, ..., : m // 2]
+            np.multiply(left[i, 0], right[0, j], out=out)
+            out += left[i, 1] * right[1, j]
+            out += left[i, 2] * right[2, j]
+        paired[..., m // 2 :] = acc[..., m:]
+        acc = paired
+    return np.moveaxis(acc[..., 0], (0, 1), (-2, -1))
 
 
 #: CFM4 Gauss nodes c_1,2 = 1/2 -+ sqrt(3)/6 and exponent weights: the first
@@ -206,6 +234,10 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     if np.any(flat):
         exact = expm_hermitian(h_gauss[..., 0, :, :], prefactor=-1j * (grid.t1 - grid.t0))
         u = exact if u is None else np.where(flat[..., None, None], exact, u)
+    # C order for every batch shape, so the matmuls callers apply to a block
+    # and to one cell run the same kernel: numpy's own loop, which it takes
+    # for other layouts, is not bound to round like BLAS
+    u = np.ascontiguousarray(u)
     drift = np.max(np.abs(dagger(u) @ u - np.eye(dim)))
     if drift > 1e-9:
         raise StepTooLargeError(f"propagator unitarity drift {drift:.2e}")

@@ -182,14 +182,15 @@ def _assemble(segments, err: ControlError, t, dim: int, coupling, detuning_diag)
 
     Array-valued err fields broadcast against each other into leading batch
     axes: the result is (*batch, N, dim, dim) for N times, every batch
-    member equal to a scalar-err call."""
+    member equal to a scalar-err call. It is the view of a (dim, dim,
+    *batch, N) array, so the propagators read each entry contiguously."""
     if isinstance(segments, GateSchedule):
         segments = segments.segments
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     eps = np.asarray(err.epsilon, dtype=float)
     det = np.asarray(err.detuning, dtype=float)
     batch = np.broadcast_shapes(eps.shape, det.shape)
-    h = np.zeros(batch + (t_arr.size, dim, dim), dtype=complex)
+    h = np.moveaxis(np.zeros((dim, dim) + batch + (t_arr.size,), dtype=complex), (0, 1), (-2, -1))
     gain = (1.0 + eps)[..., None]
     for seg in segments:
         if seg.transition not in coupling:

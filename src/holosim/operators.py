@@ -242,7 +242,11 @@ def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
     their denominator 9u^2 - w^2 stays above 2 c1. Q^2, c0 and c1 are
     written out entry by entry from the diagonal and the three upper
     entries, with no matmul, det or eigh, so each matrix's bits depend
-    neither on the BLAS thread count nor on the stack it sits in.
+    neither on the BLAS thread count, nor on the stack it sits in, nor on
+    the stack's memory layout. Each entry h[..., i, j] is read as one array
+    and the result is the (..., 3, 3) view of an entry-major (3, 3, ...)
+    array, so on an entry-major stack (the Hamiltonian builders') every
+    read and write is contiguous.
 
     Any other d or prefactor (the six-level cavity spaces) takes a batched
     Hermitian eigendecomposition.
@@ -256,11 +260,13 @@ def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
         return np.einsum("...ij,...j,...kj->...ik", vecs, phases, vecs.conj())
 
     s = complex(prefactor).imag
-    m = h.reshape(-1, 9)  # row-major entries h00 h01 h02 h10 h11 h12 h20 h21 h22
-    diag = m[:, 0::4].real
-    mean = diag.mean(axis=1)
-    x0, x1, x2 = (s * (diag[:, k] - mean) for k in range(3))
-    a, b, c = s * m[:, 1], s * m[:, 2], s * m[:, 5]  # Q01, Q02, Q12
+    # one matrix as a stack of one: numpy's complex scalar product can round
+    # differently from its array loop, and a single call must match a stack
+    m = h[None] if h.ndim == 2 else h
+    x0, x1, x2 = (m[..., k, k].real for k in range(3))
+    mean = (x0 + x1 + x2) / 3.0
+    x0, x1, x2 = (s * (x - mean) for x in (x0, x1, x2))
+    a, b, c = s * m[..., 0, 1], s * m[..., 0, 2], s * m[..., 1, 2]  # Q01, Q02, Q12
     aa, bb, cc = (z.real * z.real + z.imag * z.imag for z in (a, b, c))
     # the six distinct entries of the Hermitian Q^2, using x0 + x1 + x2 = 0
     p00, p11, p22 = x0 * x0 + aa + bb, x1 * x1 + aa + cc, x2 * x2 + bb + cc
@@ -268,12 +274,13 @@ def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
     c1 = 0.5 * (p00 + p11 + p22)
     c0 = x0 * x1 * x2 + 2.0 * (a * c * b.conj()).real - x0 * cc - x1 * bb - x2 * aa
 
-    f = np.empty((3, c1.size), dtype=complex)
+    f = np.empty((3,) + c1.shape, dtype=complex)
     small = c1 < _SERIES_C1
     if np.any(small):
         # Q^k = A I + B Q + C Q^2, from Q^2 on by Q^(k+1) = c0 C I + (A + c1 C) Q + B Q^2;
         # i^k / k! sends even k to the real parts, odd k to the imaginary ones
-        k0, k1 = c0[small], c1[small]
+        rows = ... if np.all(small) else small  # a full mask would only copy
+        k0, k1 = c0[rows], c1[rows]
         one, zero = np.ones_like(k0), np.zeros_like(k0)
         re, im = [one, zero, -0.5 * one], [zero, one, zero]
         cur = (zero, zero, one)
@@ -284,7 +291,7 @@ def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
             for j in range(3):
                 acc[j] = acc[j] + weight * cur[j]
         for j in range(3):
-            f[j, small] = re[j] + 1j * im[j]
+            f[j, rows] = re[j] + 1j * im[j]
     large = ~small
     if np.any(large):
         k0, k1 = c0[large], c1[large]
@@ -303,14 +310,18 @@ def expm_hermitian(h: np.ndarray, prefactor: complex = -1j) -> np.ndarray:
     f *= np.exp(1j * s * mean)
 
     f0, f1, f2 = f
-    out = np.empty((c1.size, 9), dtype=complex)
-    pairs = ((x0, p00), (a, p01), (b, p02), (a.conj(), p01.conj()), (x1, p11),
-             (c, p12), (b.conj(), p02.conj()), (c.conj(), p12.conj()), (x2, p22))
-    for k, (qk, pk) in enumerate(pairs):
-        np.multiply(f1, qk, out=out[:, k])
-        out[:, k] += f2 * pk
-    out[:, 0::4] += f0[:, None]
-    return out.reshape(h.shape)
+    out = np.empty((3, 3) + c1.shape, dtype=complex)
+    entries = (((0, 0), x0, p00), ((0, 1), a, p01), ((0, 2), b, p02), ((1, 1), x1, p11),
+               ((1, 2), c, p12), ((2, 2), x2, p22))
+    for (i, j), qij, pij in entries:
+        np.multiply(f1, qij, out=out[i, j])
+        out[i, j] += f2 * pij
+        if i == j:
+            out[i, i] += f0
+        else:
+            np.multiply(f1, qij.conj(), out=out[j, i])
+            out[j, i] += f2 * pij.conj()
+    return np.moveaxis(out, (0, 1), (-2, -1)).reshape(h.shape)
 
 
 # ---- phase-insensitive comparisons ----

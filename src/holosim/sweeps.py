@@ -170,11 +170,15 @@ class CrosstalkGrid:
 
 
 #: step matrices per block of sweep cells: a block holds
-#: max(1, _BLOCK_MATRICES // (2 steps)) cells (32 at SWEEP_STEPS), and a cell
+#: max(1, _BLOCK_MATRICES // (2 steps)) cells (64 at SWEEP_STEPS), and a cell
 #: above the budget is still exponentiated in stacks of at most 2048 matrices.
-#: Blocks this large keep a 2-thread pool from contending for the interpreter
-#: lock over the many small elementwise calls of the 3x3 exponential
-_BLOCK_MATRICES = 8192
+#: The 3x3 exponential and tree product are elementwise calls on entry arrays
+#: as long as the block, so longer blocks spread each call's fixed cost over
+#: more matrices and keep a 2-thread pool from contending for the interpreter
+#: lock. On the sweep benchmark (2 threads, 2 vCPU), 16384 ran the op in
+#: 0.10-0.11 s against 0.14-0.16 s at 8192, both at a peak RSS of 104.3-104.7
+#: MB; 32768 ran it in 0.09 s but peaked at 109.2 MB (+4.5%)
+_BLOCK_MATRICES = 16384
 
 
 def _block_fidelities(u: np.ndarray, chi_t: np.ndarray) -> np.ndarray:

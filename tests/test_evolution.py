@@ -42,6 +42,12 @@ def drive_schedule(amp=1.0e7, duration=60e-9, phase=0.0):
     return GateSchedule((seg,), duration)
 
 
+def entry_major(stack):
+    """A copy of a (..., d, d) stack stored as (d, d, ...), viewed as (..., d, d)."""
+    moved = np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
+    return np.moveaxis(moved, (0, 1), (-2, -1))
+
+
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
@@ -165,6 +171,22 @@ class TestUnitaryPropagation:
         ev.propagate_unitary(h, ev.TimeGrid(0, sched.duration, 3 * ev._CHUNK_STEPS + 5))
         assert sizes == [2 * ev._CHUNK_STEPS] * 3 + [10]
 
+    def test_layout_of_the_hamiltonian_stack_does_not_change_bits(self):
+        # the builders return entry-major stacks; a C-ordered copy, or a
+        # callable that only builds one matrix at a time (evaluated point by
+        # point and stacked), gives the same propagator bit for bit
+        sched = drive_schedule(amp=5e7)
+        err = md.ControlError(np.array([-0.05, 0.1]), 2 * math.pi * 0.4e6)
+        grid = ev.TimeGrid(0, sched.duration, 64)
+        built = lambda t: md.qutrit_drive_hamiltonian(sched, err, t)
+        assert not built(np.zeros(4)).flags.c_contiguous
+        u = ev.propagate_unitary(built, grid)
+        assert np.array_equal(ev.propagate_unitary(lambda t: np.ascontiguousarray(built(t)), grid), u)
+        for k in range(2):
+            err_k = md.ControlError(float(err.epsilon[k]), err.detuning)
+            one_at_a_time = lambda t: md.qutrit_drive_hamiltonian(sched, err_k, np.ravel(t)[0])
+            assert np.array_equal(ev.propagate_unitary(one_at_a_time, grid), u[k])
+
     def test_unitary_to_rounding(self):
         sched = drive_schedule(amp=5e7)
         u = ev.propagate_unitary(
@@ -186,6 +208,33 @@ class TestUnitaryPropagation:
             ev.propagate_unitary(lambda t: 1.0e9 * SX3, grid)
         with pytest.raises(StepTooLargeError, match="per-step phase"):
             ev.channel_superoperator(lambda t: 1.0e9 * SX3, [], grid)
+
+
+class TestOrderedProduct:
+    @staticmethod
+    def unitaries(rng, shape):
+        z = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+        return expm_hermitian(z + np.conj(np.swapaxes(z, -1, -2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129])
+    def test_3x3_tree_matches_left_to_right_matmuls(self, n):
+        mats = self.unitaries(np.random.default_rng(n), (2, 3, n))
+        want = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3, 3))
+        for k in range(n):
+            want = mats[..., k, :, :] @ want  # the last factor leftmost
+        got = ev._ordered_product(mats)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(2, 37, 3, 3)) + 1j * rng.normal(size=(2, 37, 3, 3))
+        h = 0.3 * (z + np.conj(np.swapaxes(z, -1, -2)))
+        c_order = np.ascontiguousarray(expm_hermitian(h))
+        product = ev._ordered_product(c_order)
+        assert np.array_equal(ev._ordered_product(entry_major(c_order)), product)
+        for k in range(2):
+            assert np.array_equal(ev._ordered_product(c_order[k]), product[k])
 
 
 class TestLindblad:

@@ -224,6 +224,18 @@ class TestExpm:
         singles = np.array([op.expm_hermitian(h, prefactor=-0.3j) for h in hs])
         assert np.array_equal(stack.reshape(24, 3, 3), singles)
 
+    def test_closed_form_bits_do_not_depend_on_the_stack_layout(self):
+        # the builders store stacks entry-major, (3, 3, ...) viewed as (..., 3, 3)
+        rng = np.random.default_rng(97)
+        hs = np.array([random_hermitian(rng, 3) for _ in range(24)]).reshape(2, 12, 3, 3)
+        hs *= np.geomspace(1e-5, 4.0, 12)[:, None, None]
+        entry_major = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(hs, (-2, -1), (0, 1))), (0, 1), (-2, -1)
+        )
+        assert not entry_major.flags.c_contiguous
+        c_order = op.expm_hermitian(hs, prefactor=-0.3j)
+        assert np.array_equal(op.expm_hermitian(entry_major, prefactor=-0.3j), c_order)
+
     def test_closed_form_large_phases_no_worse_than_eigh(self):
         # constant pieces exponentiate a whole grid, so phases reach 1e2-1e4 rad
         mpmath = pytest.importorskip("mpmath")

@@ -173,8 +173,8 @@ class TestCrosstalkSweep:
         assert np.array_equal(run(2), ref)
 
     def test_exponential_stacks_stay_within_the_block_budget(self, monkeypatch):
-        # 150 cells of 4096 steps: a block is one cell, and its 8192 step
-        # matrices are exponentiated in stacks of at most 2048
+        # 150 cells of 4096 steps: a block is two cells, and their 16384 step
+        # matrices are exponentiated in stacks of at most 2 x 2048
         sizes = []
         expm = ev.expm_hermitian
 
