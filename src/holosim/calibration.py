@@ -22,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401 (perfbench/trace.py wraps it)
-from scipy.optimize import least_squares
-from scipy.special import exprel
 
 from . import model as md
 from .errors import (
@@ -44,6 +41,22 @@ MAX_DETREND_DEGREE = 7
 #: (s), frequency (rad/s) or signal, and small enough that no fit's squared
 #: residuals, Jacobian products or covariance overflow
 MAX_CSV_MAGNITUDE = 1e60
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first call so that importing
+    the package loads no scipy; every fit calls it through this name, which
+    perfbench/trace.py wraps to count evaluations."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
+
+def __getattr__(name):
+    # scipy's expm on demand, for perfbench/trace.py to wrap under this name
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---- traces ----
@@ -202,6 +215,7 @@ def rate_populations(rates, times, p0) -> np.ndarray:
     which is exact at a = b and never overflows; P_g holds the rest of the
     conserved total.
     """
+    from scipy.special import exprel
     noise = md.NoiseModel(gamma_eg=rates[0], gamma_fe=rates[1], gamma_fg=rates[2])
     a = noise.gamma_eg
     b = noise.gamma_fe + noise.gamma_fg

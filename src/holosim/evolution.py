@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import model
 from .errors import (
@@ -404,6 +403,7 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
     if l_const is None:
         chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
     else:
+        from scipy.linalg import expm
         chunks = [np.broadcast_to(expm(l_const * grid.dt), (grid.steps,) + diss.shape)]
     vecs = np.empty((grid.steps + 1, dim * dim), dtype=complex)
     vecs[0] = rho.reshape(-1)
@@ -434,6 +434,7 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     """
     diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid)
     if l_const is not None:
+        from scipy.linalg import expm
         return expm(l_const * (grid.t1 - grid.t0))
     s = np.eye(diss.shape[0], dtype=complex)
     for maps in _step_maps(diss, h_nodes, h_mids, grid.dt):

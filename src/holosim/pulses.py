@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BadTransitionError, OutOfRangeError, ZeroAreaError
 
@@ -123,10 +122,11 @@ def area(env: Envelope) -> float:
     """
     if env.peak_amplitude == 0:
         return 0.0
+    from scipy.integrate import quad
     pts = None
     if isinstance(env, SquareWithRamps) and env.ramp > 0:
         pts = [env.ramp, env.ramp + env.flat]
-    val, err = integrate.quad(
+    val, err = quad(
         lambda x: float(env.shape(x)),
         0.0,
         env.duration,

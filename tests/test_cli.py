@@ -1234,28 +1234,25 @@ class TestCalibrateFuzz:
             assert code == 2
 
 
-@st.composite
-def extreme_calibrate_cases(draw):
-    """(config, {file name: contents}) of well-formed calibrate runs of every
-    kind whose times and values sit at scales from 1e-300 to 1e300, with
-    either sign: acceptance-like shapes or plain noise."""
-    kind = draw(st.sampled_from(["rate_equation", "ramsey", "rabi", "chevron"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(8, 40))
-    x_scale = 10.0 ** draw(st.integers(-300, 300))
-    y_scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-300, 300))
-    shift = draw(st.sampled_from([0.0, -0.5 * n, 1e6]))
+def _extreme_case(kind, seed, n, x_exp, y_sign, y_exp, shift, noise, chevron_shift=0.0,
+                  detrend_degree=None):
+    """(config, {file name: contents}) of one well-formed calibrate run of
+    ``kind`` with times at scale 10**x_exp and values at y_sign * 10**y_exp:
+    an acceptance-like shape, or plain noise; ``seed`` draws the time steps
+    and the shape's own constants."""
+    rng = np.random.default_rng(seed)
+    x_scale = 10.0 ** x_exp
+    y_scale = y_sign * 10.0 ** y_exp
     steps = np.cumsum(rng.uniform(0.2, 1.0, n))
     x = x_scale * (shift + steps)  # strictly increasing: spacing >= 2e-7 of |x|
     tau = (steps - steps[0]) / (steps[-1] - steps[0])  # the shape's own time axis
-    noise = draw(st.booleans())
 
     def shape(clean):
         return y_scale * (rng.uniform(-1.0, 1.0, n) if noise else clean)
 
     if kind == "chevron":
         offsets = np.linspace(-2.0, 2.0, n)
-        x = x_scale * (offsets + draw(st.sampled_from([0.0, 0.5])))
+        x = x_scale * (offsets + chevron_shift)
         columns = {"points.csv": (x, np.abs(shape(np.hypot(offsets, 0.3))))}
         block = {"kind": kind, "points": "points.csv"}
     elif kind == "rate_equation":
@@ -1268,17 +1265,43 @@ def extreme_calibrate_cases(draw):
         tone = np.cos(TWO_PI * rng.uniform(2.0, 8.0) * tau) * np.exp(-tau / rng.uniform(0.3, 3.0))
         columns = {"trace.csv": (x, shape(0.5 + 0.4 * tone))}
         block = {"kind": kind, "trace": "trace.csv"}
-        if draw(st.booleans()):
-            block["detrend_degree"] = draw(st.integers(0, 7))
+        if detrend_degree is not None:
+            block["detrend_degree"] = detrend_degree
     header = "offset_rad_s,omega_r_rad_s" if kind == "chevron" else "time_s,value"
     texts = {name: header + "\n" + "".join(f"{float(u)!r},{float(v)!r}\n" for u, v in zip(*xy))
              for name, xy in columns.items()}
     return {"schema_version": 1, "calibrate": block}, texts
 
 
+@st.composite
+def extreme_calibrate_cases(draw):
+    """_extreme_case of every kind at scales from 1e-300 to 1e300, with
+    either sign."""
+    kind = draw(st.sampled_from(["rate_equation", "ramsey", "rabi", "chevron"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(8, 40))
+    x_exp = draw(st.integers(-300, 300))
+    y_sign = draw(st.sampled_from([1.0, -1.0]))
+    y_exp = draw(st.integers(-300, 300))
+    shift = draw(st.sampled_from([0.0, -0.5 * n, 1e6]))
+    noise = draw(st.booleans())
+    chevron_shift, detrend_degree = 0.0, None
+    if kind == "chevron":
+        chevron_shift = draw(st.sampled_from([0.0, 0.5]))
+    elif kind != "rate_equation" and draw(st.booleans()):
+        detrend_degree = draw(st.integers(0, 7))
+    return _extreme_case(kind, seed, n, x_exp, y_sign, y_exp, shift, noise, chevron_shift,
+                         detrend_degree)
+
+
 class TestCalibrateNumericFuzz:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
     @given(case=extreme_calibrate_cases())
+    # values near 1e-164: pinv(J^T J) overflows in raw units and fit.json
+    # gets a NaN covariance at exit 0 (ROADMAP item 6); none of the 60
+    # derandomized draws reaches that path
+    @example(case=_extreme_case("rate_equation", 0, 8, 8, -1.0, -164, -4.0, False))
     def test_extreme_scales_exit_cleanly(self, case):
         code, err, native = _calibrate_exit(*case)
         assert code in (0, 1, 2)

@@ -3,16 +3,26 @@ Repository-level contracts that no module test covers.
 
 The README's library quick start runs as written, the benchmark tracer in
 perfbench/ still finds every from-import wrap point it expects, so renaming
-a traced function fails here rather than in a traced run, and no package
-module keeps an import it never uses.
+a traced function fails here rather than in a traced run, the fits still
+call scipy through the module attributes the tracer counts, no package
+module keeps an import it never uses, and importing the CLI (or rejecting
+a bad config with it) loads no scipy.
 """
 
 import ast
 import contextlib
+import dataclasses
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from holosim import benchmarking, calibration
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,12 +53,74 @@ def test_benchmark_tracer_finds_every_wrap_point():
         trace.uninstall(installed)
 
 
+def test_fits_call_scipy_through_the_traced_module_attributes(monkeypatch):
+    # perfbench/trace.py counts least-squares evaluations by wrapping these
+    # two attributes; a fit that bound scipy's function directly would leave
+    # its counter silent
+    m = np.arange(1, 21)
+    means = 0.45 * 0.97**m + 0.5
+    times = np.linspace(0.0, 2e-6, 80)
+    values = 0.5 + 0.4 * np.exp(-times / 3e-6) * np.cos(2 * np.pi * 2.5e6 * times + 0.3)
+    trace = calibration.Trace(times, values, "rabi")
+    expected = (benchmarking.fit_rb(m, means), calibration.fit_rabi(trace))
+
+    calls = {}
+    for module in (benchmarking, calibration):
+        def counted(*args, _solve=module.least_squares, _name=module.__name__, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "least_squares", counted)
+    got = (benchmarking.fit_rb(m, means), calibration.fit_rabi(trace))
+
+    assert calls.get("holosim.benchmarking", 0) > 0
+    assert calls.get("holosim.calibration", 0) > 0
+    for a, b in zip(got, expected):
+        np.testing.assert_equal(dataclasses.asdict(a), dataclasses.asdict(b))
+
+
+#: rejected by validation before any study runs: exit 2
+BAD_CONFIGS = {"gate": {"name": "CNOT"}, "rb": {"lengths": [1, 2]}}
+
+COLD_IMPORT = """
+import json, runpy, sys
+
+subcommands = sys.argv[1:]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def as_main(*argv):
+    sys.argv = ["holosim", *argv]
+    try:
+        runpy.run_module("holosim.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+import holosim.cli
+seen = {"import": scipy_modules()}
+seen["--version"] = [as_main("--version"), scipy_modules()]
+for sub in subcommands:
+    seen[sub] = [as_main(sub, "--config", sub + ".json", "--out", "out"), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_import_and_rejected_configs_load_no_scipy(tmp_path):
+    for sub, block in BAD_CONFIGS.items():
+        (tmp_path / f"{sub}.json").write_text(json.dumps({"schema_version": 1, sub: block}))
+    done = subprocess.run([sys.executable, "-c", COLD_IMPORT, *BAD_CONFIGS], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "--version": [0, []], "gate": [2, []], "rb": [2, []]}
+
+
 def test_every_imported_name_is_used():
-    # an import kept only for perfbench/trace.py to wrap carries "# noqa: F401"
+    # names perfbench/trace.py reads but the package never calls are served
+    # by the module's __getattr__, so no import is kept only for the tracer
     unused = []
     for path in sorted((ROOT / "src" / "holosim").glob("*.py")):
         source = path.read_text()
-        lines = source.splitlines()
         tree = ast.parse(source)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -56,6 +128,6 @@ def test_every_imported_name_is_used():
         for node in imports:
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
-                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                if name not in used:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
