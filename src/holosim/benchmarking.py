@@ -16,10 +16,17 @@ the Cayley table and its recovery is read from the inverse table, with no
 2x2 algebra, and the same indices pick the channels from the stack built in
 group order. The k sequences of one length are drawn, composed and
 propagated as one block, one string position at a time.
+
+The draws are numpy's ``default_rng`` stream: row j of a block is
+``np.random.default_rng([*seed, j]).integers(0, 24, size=m)``, computed
+for all k rows at once in arrays (SeedSequence hash, PCG64 seeding and
+jump-ahead, XSL-RR output, Lemire's multiply-shift). A row with a word that
+Lemire's rule rejects is redrawn by its own ``default_rng``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,32 +182,148 @@ def _entropy_words(values) -> list[int]:
     return words
 
 
+# numpy's default_rng stream, reproduced exactly for a block of rows:
+# SeedSequence (numpy/random/bit_generator.pyx) -> PCG64 XSL-RR (O'Neill,
+# HMC-CS-2014-0905) -> Lemire's bounded integers (ACM TOMACS 29, 3 (2019)).
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: PCG outputs per column chunk: temporaries stay at a few k x 32 arrays
+_CHUNK = 32
+
+
+def _seed_words(prefix: list[int], k: int) -> list:
+    """The 8 uint32 words of ``SeedSequence([*prefix, j]).generate_state(4,
+    np.uint64)`` for j < k (j < 2^32 is one word), each a (k,) uint64
+    array. Words of the prefix mix as Python ints; only the last word, j,
+    is an array."""
+    entropy = [*prefix, np.arange(k, dtype=np.uint64)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = (value ^ hash_const) & _MASK32
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = (pool[i % _POOL_SIZE] ^ hash_const) & _MASK32
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+@functools.cache
+def _jump_constants(n: int) -> np.ndarray:
+    """(4, n) uint64: for t = 1..n, the 64-bit halves (high, low) of
+    P_t = M^(t+1) and Q_t = M^(t+1) + sum_{i<t+1} M^i mod 2^128, so that the
+    state after t outputs of a PCG64 seeded with (s, inc) is P_t s + Q_t inc.
+    Rows are P high, P low, Q high, Q low."""
+    mod = 1 << 128
+    power, total = _PCG_MULT, 1  # M^1 and sum_{i<1} M^i
+    table = np.empty((4, n), dtype=np.uint64)
+    for t in range(n):
+        power, total = power * _PCG_MULT % mod, (total + power) % mod
+        q = (power + total) % mod
+        table[:, t] = power >> 64, power & _MASK64, q >> 64, q & _MASK64
+    return table
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64 arrays."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    cross = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> 32) + (cross >> 32)
+
+
+def _pcg_word_blocks(prefix: list[int], k: int, m: int):
+    """The first m uint32 words each row's PCG64 hands to
+    ``np.random.default_rng([*prefix, j])``, j < k: each 64-bit XSL-RR
+    output, low word first. Yields (k, <= 2 _CHUNK) uint64 column blocks in
+    order, each made by jumping the 128-bit LCG straight to its outputs."""
+    w = [v[:, None] for v in _seed_words(prefix, k)]
+    s_hi, s_lo, seq_hi, seq_lo = (w[2 * i] | w[2 * i + 1] << 32 for i in range(4))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1  # (seq << 1) | 1
+    n = -(-m // 2)
+    table = _jump_constants(-(-n // _CHUNK) * _CHUNK)
+    for start in range(0, n, _CHUNK):
+        p_hi, p_lo, q_hi, q_lo = table[:, start : min(start + _CHUNK, n)]
+        ps, qi = s_lo * p_lo, inc_lo * q_lo
+        lo = ps + qi
+        hi = (_mulhi(s_lo, p_lo) + s_hi * p_lo + s_lo * p_hi + _mulhi(inc_lo, q_lo)
+              + inc_hi * q_lo + inc_lo * q_hi + (lo < ps))
+        rot = hi >> 58
+        xored = hi ^ lo
+        out = xored >> rot | xored << (-rot & 63)
+        words = np.empty((k, 2 * out.shape[1]), dtype=np.uint64)
+        words[:, 0::2] = out & _MASK32
+        words[:, 1::2] = out >> 32
+        yield words[:, : m - 2 * start]
+
+
+def _bounded_draws(prefix: list[int], k: int, m: int, size: int) -> np.ndarray:
+    """(k, m) ints: ``np.random.default_rng([*prefix, j]).integers(0, size,
+    size=m)`` for every j < k. Lemire's rule maps a word u to u * size >> 32;
+    a row with a word it would reject (u * size mod 2^32 below
+    (2^32 - size) mod size) is redrawn by its own generator."""
+    draws = np.empty((k, m), dtype=int)
+    rejected = np.zeros(k, dtype=bool)
+    threshold = (2**32 - size) % size
+    start = 0
+    for words in _pcg_word_blocks(prefix, k, m):
+        scaled = words * size
+        draws[:, start : start + words.shape[1]] = scaled >> 32
+        rejected |= ((scaled & _MASK32) < threshold).any(axis=1)
+        start += words.shape[1]
+    for j in np.flatnonzero(rejected):
+        entropy = np.array([*prefix, j], dtype=np.uint32)
+        draws[j] = np.random.default_rng(entropy).integers(0, size, size=m)
+    return draws
+
+
 def random_sequence(m: int, k: int, seed, interleave: int | None = None):
     """(draws, recovery): k strings of m uniform Clifford draws, (k, m), and
     the element closing each, (k,).
 
-    All are clifford_group() indices. Row j is drawn from
-    ``np.random.default_rng([*seed, j]).integers(0, 24, size=m)``: its
-    generator is seeded with the uint32 words that list coerces to, built
-    once as an array, which numpy takes as is. With ``interleave`` (a group
-    index) set, the recovery inverts the string with that element inserted
-    after every draw; ``draws`` still holds only the random draws. The k
-    strings are composed together through the Cayley table and the
-    recoveries read from the inverse table, so they are exact.
+    All are clifford_group() indices. Row j is numpy's
+    ``np.random.default_rng([*seed, j]).integers(0, 24, size=m)``, bit for
+    bit, but computed for the whole block at once: the SeedSequence hash of
+    every row, the PCG64 seeding, a jump-ahead of the 128-bit LCG to all m
+    words and Lemire's multiply-shift, in arrays. A row with a word that
+    Lemire's rule rejects (about one draw in 2.7e8) is redrawn by its own
+    ``default_rng``. With ``interleave`` (a group index) set, the recovery
+    inverts the string with that element inserted after every draw;
+    ``draws`` still holds only the random draws. The k strings are composed
+    together through the Cayley table and the recoveries read from the
+    inverse table, so they are exact.
     """
     if m < 1:
         raise OutOfRangeError(f"sequence length must be >= 1, got {m}")
     if k < 1:
         raise OutOfRangeError(f"sequence count must be >= 1, got {k}")
     group = clifford_group()
-    size = len(group.elements)
-    prefix = _entropy_words(seed)
-    rows = np.empty((k, len(prefix) + 1), dtype=np.uint32)
-    rows[:, :-1] = prefix
-    rows[:, -1] = np.arange(k)  # j < 2^32 is one word, as numpy coerces it
-    draws = np.empty((k, m), dtype=int)
-    for j, row in enumerate(rows):
-        draws[j] = np.random.default_rng(row).integers(0, size, size=m)
+    draws = _bounded_draws(_entropy_words(seed), k, m, len(group.elements))
     product = np.full(k, group.identity)
     for column in draws.T:
         product = group.cayley[column, product]

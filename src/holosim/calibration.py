@@ -176,10 +176,20 @@ class ChevronPoint:
 # ---- shared fit plumbing ----
 
 def _covariance(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Gauss-Newton parameter covariance s^2 (J^T J)^+ at one parameter point."""
+    """Gauss-Newton parameter covariance s^2 (J^T J)^+ at one parameter point.
+
+    Raises FitDivergenceError when it is not finite: at extreme value scales
+    J^T J over- or underflows in raw units and its pseudo-inverse is NaN.
+    """
     dof = max(residuals.size - jac.shape[1], 1)
     s2 = float(residuals @ residuals) / dof
-    return s2 * np.linalg.pinv(jac.T @ jac)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cov = s2 * np.linalg.pinv(jac.T @ jac)
+    if not np.isfinite(cov).all():
+        raise FitDivergenceError(
+            "fit covariance is not finite: J^T J over- or underflows at this value scale"
+        )
+    return cov
 
 
 def _fit_payload(fit) -> dict:

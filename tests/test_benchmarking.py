@@ -9,9 +9,12 @@ depolarizing map, where the decay constant is known exactly.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holosim import benchmarking as rb
 from holosim import evolution as ev
@@ -33,6 +36,22 @@ PINNED_SEQUENCES = [
     ([7, 0, 12, 3], 12, [2, 5, 23, 22, 6, 21, 17, 4, 17, 9, 6, 16], 6, 13),
     ([2024, 1, 9, 41], 9, [4, 19, 17, 7, 23, 3, 19, 12, 11], 21, 11),
 ]
+
+
+#: (entropy prefix, row, word): row ``row`` of this rb block has a uint32
+#: word that Lemire's rule rejects (word * 24 mod 2^32 < 16), found by a
+#: search over RB seeds; numpy skips it, so the row's draws from ``word`` on
+#: are not the plain multiply-shift of its words
+LEMIRE_REJECTED_ROW = ([309863, 0, 20], 79, 7)
+
+#: entropy words that coerce to 1, 1, 2, 3 and 5 uint32 words
+EDGE_SEED_WORDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 10**40]
+
+
+def per_row_draws(prefix, k, m):
+    """numpy's own draws, one default_rng per row: the reference stream."""
+    return np.array([np.random.default_rng([*prefix, j]).integers(0, 24, size=m)
+                     for j in range(k)])
 
 
 def depolarizing_superoperator(d):
@@ -208,6 +227,40 @@ class TestSequences:
                     if interleave is not None:
                         product = group.cayley[interleave, product]
                 assert recovery[j] == group.inverse[product]
+
+    @settings(max_examples=40, deadline=None)
+    @given(prefix=st.lists(st.one_of(st.sampled_from(EDGE_SEED_WORDS),
+                                     st.integers(0, 2**70)), min_size=1, max_size=6),
+           k=st.integers(1, 300), m=st.integers(1, 200))
+    # the legal extremes of rb.k and the sequence length: many column
+    # chunks of few rows, and one word of many rows
+    @example(prefix=[7, 1, 1000], k=3, m=1000)
+    @example(prefix=[7, 1, 1], k=1000, m=1)
+    def test_block_draws_equal_per_row_default_rng(self, prefix, k, m):
+        draws, _ = rb.random_sequence(m, k, prefix)
+        assert np.array_equal(draws, per_row_draws(prefix, k, m))
+
+    def test_largest_block_works_in_column_chunks(self):
+        # the 1000 x 1000 block is 8 MB of draws; the stream behind it is
+        # made 32 outputs at a time, so its temporaries stay a few MB
+        rb.random_sequence(1000, 1, [5, 0, 1000])  # group tables, jump constants
+        tracemalloc.start()
+        try:
+            draws, _ = rb.random_sequence(1000, 1000, [5, 0, 1000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - draws.nbytes < 6e6
+
+    def test_lemire_rejected_row_is_redrawn_by_its_generator(self):
+        prefix, j, word = LEMIRE_REJECTED_ROW
+        raw = np.random.default_rng([*prefix, j]).bit_generator.random_raw(10)
+        words = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).reshape(-1)
+        assert np.flatnonzero(words * 24 % 2**32 < 16).tolist() == [word]
+        reference = per_row_draws(prefix, j + 1, 20)
+        assert not np.array_equal(reference[j], words[:20] * 24 >> 32)
+        draws, _ = rb.random_sequence(20, j + 1, prefix)
+        assert np.array_equal(draws, reference)
 
     def test_interleave_outside_table_params_uses_its_group_element(self):
         # Y_pi's published phi differs from its table entry by a global

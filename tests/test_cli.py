@@ -1194,7 +1194,8 @@ def native_stdout(sink: list):
 
 
 def _calibrate_exit(cfg, texts):
-    """(exit code, stderr, native stdout) of one in-process calibrate run."""
+    """(exit code, stderr, native stdout, parsed fit.json or None) of one
+    in-process calibrate run."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in texts.items():
             (Path(tmp) / name).write_text(text)
@@ -1204,7 +1205,9 @@ def _calibrate_exit(cfg, texts):
         with contextlib.redirect_stderr(err), native_stdout(out):
             code = cli.main(["calibrate", "--config", str(path), "--out",
                              str(Path(tmp) / "out")])
-    return code, err.getvalue(), out[0]
+        fit_path = Path(tmp) / "out" / "fit.json"
+        fit = json.loads(fit_path.read_text()) if fit_path.is_file() else None
+    return code, err.getvalue(), out[0], fit
 
 
 class TestCalibrateFuzz:
@@ -1226,7 +1229,7 @@ class TestCalibrateFuzz:
                    + (False,)))
     def test_every_calibrate_run_exits_cleanly(self, case):
         cfg, texts, must_exit_two = case
-        code, err, native = _calibrate_exit(cfg, texts)
+        code, err, native, _ = _calibrate_exit(cfg, texts)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert native == ""
@@ -1298,15 +1301,17 @@ class TestCalibrateNumericFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=extreme_calibrate_cases())
-    # values near 1e-164: pinv(J^T J) overflows in raw units and fit.json
-    # gets a NaN covariance at exit 0 (ROADMAP item 6); none of the 60
-    # derandomized draws reaches that path
+    # values near 1e-164: pinv(J^T J) overflows in raw units, so the
+    # covariance is not finite and the run must exit 1, not write NaN into
+    # fit.json. None of the 60 derandomized draws reaches that path
     @example(case=_extreme_case("rate_equation", 0, 8, 8, -1.0, -164, -4.0, False))
     def test_extreme_scales_exit_cleanly(self, case):
-        code, err, native = _calibrate_exit(*case)
+        code, err, native, fit = _calibrate_exit(*case)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert native == ""
+        if code == 0:
+            assert np.isfinite(np.asarray(fit["covariance"], dtype=float)).all()
 
 
 class TestMainEntry:
