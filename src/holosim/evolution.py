@@ -35,6 +35,17 @@ duration/4096:
   product, with no Python loop over steps; a trajectory applies the same
   maps to vec(rho0) in sequence and keeps every node.
 
+Six-level spaces (d > 3) propagate per sector. The drives couple only |0g>,
+|0f> and |1g>, and each collapse operator shifts a level by a fixed amount,
+so H and the Liouvillian (in vec(rho), a weak symmetry: Buca & Prosen, NJP
+14, 073007 (2012)) are block diagonal. The sectors are the connected
+components of the nonzero pattern, unioned over every node and batch
+member. Each size group of sectors runs as one stack through the dense
+core (the gate's {|0g>, |0f>, |1g>} block takes the 3x3 closed form), and
+the result is assembled with exact zeros off the sectors. The guards run on
+the full stacks first, so refusals do not change. Qutrit spaces stay dense:
+a theta = 0 loop splits too, and splitting it would move the RB bits.
+
 Schedules are integrated piecewise between segment boundaries and flat-top
 ramp edges so envelope kinks never fall inside a step; otherwise the
 integrator order degrades silently. A flat top is then a constant piece.
@@ -202,6 +213,35 @@ def _cfm4_product(h_gauss: np.ndarray, dt: float) -> np.ndarray:
     return _ordered_product(np.stack(chunks, axis=-3))
 
 
+def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the graph on range(n) whose edges are the
+    True entries of a boolean (n, n) pattern, as one (count, size) index
+    array per component size, sizes ascending and indices ascending."""
+    n = pattern.shape[0]
+    linked = pattern | pattern.T | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:  # each node takes the smallest label among its neighbours
+        low = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    comps = [np.flatnonzero(labels == root) for root in np.unique(labels)]
+    return [np.array([c for c in comps if c.size == size])
+            for size in sorted({c.size for c in comps})]
+
+
+def _unitary_core(h_gauss: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Propagators of a Gauss-node stack (..., 2 steps, d, d): one exact
+    exponential for a batch member whose Hamiltonian is the same at every
+    node, the CFM4 product for the others."""
+    flat = np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1))
+    u = None if np.all(flat) else _cfm4_product(h_gauss, grid.dt)
+    if np.any(flat):
+        exact = expm_hermitian(h_gauss[..., 0, :, :], prefactor=-1j * (grid.t1 - grid.t0))
+        u = exact if u is None else np.where(flat[..., None, None], exact, u)
+    return u
+
+
 def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     """Unitary propagator over the grid by the fourth-order commutator-free
     exponential integrator CFM4 (Blanes & Moan, Appl. Numer. Math. 56, 1519
@@ -219,7 +259,8 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     The per-step phase guard runs on the Gauss-node stack first: a step
     whose phase max ||H||_inf dt exceeds MAX_STEP_PHASE raises
     StepTooLargeError. Then a batch member whose Hamiltonian is the same at
-    every node is one exact exponential over the whole grid.
+    every node is one exact exponential over the whole grid. For d > 3 that
+    runs per sector of the Hamiltonian's nonzero pattern (module docstring).
     """
     starts = grid.t0 + grid.dt * np.arange(grid.steps)
     nodes = starts[:, None] + grid.dt * np.array([_C1, _C2])  # t_k + c dt
@@ -228,15 +269,17 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     if not is_hermitian(h_gauss, 1e-8):
         raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
     _check_step_phase(h_gauss, grid.dt)
-    flat = np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1))
-    u = None if np.all(flat) else _cfm4_product(h_gauss, grid.dt)
-    if np.any(flat):
-        exact = expm_hermitian(h_gauss[..., 0, :, :], prefactor=-1j * (grid.t1 - grid.t0))
-        u = exact if u is None else np.where(flat[..., None, None], exact, u)
-    # C order for every batch shape, so the matmuls callers apply to a block
-    # and to one cell run the same kernel: numpy's own loop, which it takes
-    # for other layouts, is not bound to round like BLAS
-    u = np.ascontiguousarray(u)
+    if dim > 3:
+        u = np.zeros(h_gauss.shape[:-3] + (dim, dim), dtype=complex)
+        for idx in _sectors(np.count_nonzero(h_gauss, axis=tuple(range(h_gauss.ndim - 2))) > 0):
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            block = _unitary_core(np.moveaxis(h_gauss[..., rows, cols], -3, 0), grid)
+            u[..., rows, cols] = np.moveaxis(block, 0, -3)
+    else:
+        # C order for every batch shape, so the matmuls callers apply to a block
+        # and to one cell run the same kernel: numpy's own loop, which it takes
+        # for other layouts, is not bound to round like BLAS
+        u = np.ascontiguousarray(_unitary_core(h_gauss, grid))
     drift = np.max(np.abs(dagger(u) @ u - np.eye(dim)))
     if drift > 1e-9:
         raise StepTooLargeError(f"propagator unitarity drift {drift:.2e}")
@@ -298,13 +341,23 @@ def _check_liouvillian_step(h_stacks, diss: np.ndarray, dt: float) -> None:
         )
 
 
-def _liouvillians(h_stack: np.ndarray, diss: np.ndarray) -> np.ndarray:
-    """Stack of Liouvillians -i[H_k, .] + diss, shape (k, d^2, d^2).
+def _liouvillians(h_stack: np.ndarray, diss: np.ndarray, idx=None) -> np.ndarray:
+    """Stack of Liouvillians -i[H_k, .] + diss, shape (k, d^2, d^2); for a
+    (g, s) array idx of vec indices, one sector per row, only the sector
+    blocks, (g, k, s, s) with the group axis leading.
 
     -i kron(H, I) and +i kron(I, H^T) are scattered into their nonzero
-    row-major positions instead of being formed as dense Kronecker products.
+    row-major positions instead of being formed as dense Kronecker products;
+    a sector block gathers its entries -i H[a, c] delta(b, e) and
+    +i H[e, b] delta(a, c), where vec index a d + b is rho[a, b].
     """
     k, d, _ = h_stack.shape
+    if idx is not None:
+        a, b = (x[:, None, :, None] for x in np.divmod(idx, d))  # rows
+        c, e = (x[:, None, None, :] for x in np.divmod(idx, d))  # columns
+        steps = np.arange(k)[:, None, None]
+        return (diss[a * d + b, c * d + e] + (-1j * (b == e)) * h_stack[steps, a, c]
+                + (1j * (a == c)) * h_stack[steps, e, b])
     out = np.repeat(diss[None], k, axis=0)
     blocks = out.reshape(k, d, d, d, d)  # [k, a, b, c, e]: row (a, b), col (c, e)
     minus_ih = -1j * h_stack
@@ -317,21 +370,22 @@ def _liouvillians(h_stack: np.ndarray, diss: np.ndarray) -> np.ndarray:
 
 
 def _plus_eye(stack: np.ndarray) -> np.ndarray:
-    """Add the identity to every matrix of a (k, n, n) stack, in place."""
+    """Add the identity to every matrix of a (..., n, n) stack, in place."""
     i = np.arange(stack.shape[-1])
-    stack[:, i, i] += 1.0
+    stack[..., i, i] += 1.0
     return stack
 
 
 def _rk4_maps(l_nodes: np.ndarray, l_mids: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step maps M_k with S_{k+1} = M_k S_k, one per step, (k, d^2, d^2).
+    """RK4 step maps M_k with S_{k+1} = M_k S_k, (..., k, n, n), from the
+    Liouvillians (..., k + 1, n, n) at the nodes and (..., k, n, n) midpoints.
 
     With A, B, C the Liouvillians at t_k, t_k + dt/2 and t_{k+1}:
     M = I + dt/6 (A + 2 K2 + 2 K3 + K4), K2 = B (I + dt/2 A),
     K3 = B (I + dt/2 K2), K4 = C (I + dt K3). Three batched matmuls; the
     elementwise work runs in place.
     """
-    a, b, c = l_nodes[:-1], l_mids, l_nodes[1:]
+    a, b, c = l_nodes[..., :-1, :, :], l_mids, l_nodes[..., 1:, :, :]
     x = _plus_eye((0.5 * dt) * a)
     k2 = b @ x
     k3 = b @ _plus_eye(np.multiply(k2, 0.5 * dt, out=x))
@@ -352,8 +406,7 @@ _CHUNK_ENTRIES = 32 * 36 * 36
 
 def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
     """Dissipator and the node and midpoint Hamiltonian stacks of a Lindblad
-    grid, plus its constant Liouvillian (None unless H is the same, exact ==,
-    at every node and midpoint).
+    grid, plus whether H is the same, exact ==, at every node and midpoint.
 
     H is evaluated on the nodes and midpoints in one call, and the
     dimension is read from it. The Liouvillian step guard runs first, so a
@@ -365,17 +418,18 @@ def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
     diss = _dissipator(collapse_ops, h_all.shape[-1])
     _check_liouvillian_step((h_nodes, h_mids), diss, grid.dt)
     flat = np.all(h_nodes == h_nodes[0]) and np.all(h_mids == h_nodes[0])
-    l_const = _liouvillians(h_nodes[:1], diss)[0] if flat else None
-    return diss, h_nodes, h_mids, l_const
+    return diss, h_nodes, h_mids, flat
 
 
-def _step_maps(diss: np.ndarray, h_nodes: np.ndarray, h_mids: np.ndarray, dt: float):
+def _step_maps(diss: np.ndarray, h_nodes: np.ndarray, h_mids: np.ndarray, dt: float, idx=None):
     """Yield the grid's RK4 step maps in order, in stacks of at most
-    _CHUNK_ENTRIES superoperator entries."""
-    chunk = max(1, _CHUNK_ENTRIES // diss.size)
+    _CHUNK_ENTRIES superoperator entries; for a (g, s) sector index array
+    idx (see _liouvillians) only the sector blocks, (g, k, s, s)."""
+    entries = diss.size if idx is None else idx.size * idx.shape[1]
+    chunk = max(1, _CHUNK_ENTRIES // entries)
     for j in range(0, h_mids.shape[0], chunk):
-        l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss)
-        l_mids = _liouvillians(h_mids[j : j + chunk], diss)
+        l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss, idx)
+        l_mids = _liouvillians(h_mids[j : j + chunk], diss, idx)
         yield _rk4_maps(l_nodes, l_mids, dt)
 
 
@@ -395,16 +449,17 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
-    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid)
+    diss, h_nodes, h_mids, flat = _guarded_hamiltonians(h, collapse_ops, grid)
     if h_nodes.shape[-1] != dim:
         raise DimensionMismatchError(
             f"hamiltonian is {h_nodes.shape[-1]}-dimensional, rho0 {dim}-dimensional"
         )
-    if l_const is None:
-        chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
-    else:
+    if flat:
         from scipy.linalg import expm
-        chunks = [np.broadcast_to(expm(l_const * grid.dt), (grid.steps,) + diss.shape)]
+        step = expm(_liouvillians(h_nodes[:1], diss)[0] * grid.dt)
+        chunks = [np.broadcast_to(step, (grid.steps,) + diss.shape)]
+    else:
+        chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
     vecs = np.empty((grid.steps + 1, dim * dim), dtype=complex)
     vecs[0] = rho.reshape(-1)
     k = 0
@@ -430,15 +485,33 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     exp(L (t1 - t0)), an exactly CPTP map. Otherwise RK4 on the linear
     Lindblad equation is a product of per-step maps; each chunk of maps is
     reduced by the pairwise tree product, so no Python loop runs over
-    steps. The result equals propagating every input state.
+    steps. The result equals propagating every input state. For d > 3 this
+    runs per sector of the Liouvillian's nonzero pattern (module docstring).
     """
-    diss, h_nodes, h_mids, l_const = _guarded_hamiltonians(h, collapse_ops, grid)
-    if l_const is not None:
-        from scipy.linalg import expm
-        return expm(l_const * (grid.t1 - grid.t0))
-    s = np.eye(diss.shape[0], dtype=complex)
-    for maps in _step_maps(diss, h_nodes, h_mids, grid.dt):
-        s = _ordered_product(maps) @ s
+    diss, h_nodes, h_mids, flat = _guarded_hamiltonians(h, collapse_ops, grid)
+    dim, n = h_nodes.shape[-1], diss.shape[0]
+    sectors = [None]  # the whole space, dense
+    if dim > 3:
+        # the pattern of |diss| - i[P, .] for H's nonzero pattern P: off the
+        # diagonal, its terms never cancel
+        hp = np.count_nonzero(h_nodes, axis=0) + np.count_nonzero(h_mids, axis=0) > 0
+        sectors = _sectors(_liouvillians(hp[None] + 0j, np.abs(diss) + 0j)[0] != 0)
+    blocks = []
+    for idx in sectors:
+        if flat:
+            from scipy.linalg import expm
+            l_const = _liouvillians(h_nodes[:1], diss, idx)[..., 0, :, :]
+            blocks.append(expm(l_const * (grid.t1 - grid.t0)))
+            continue
+        s = np.eye(n if idx is None else idx.shape[1], dtype=complex)
+        for maps in _step_maps(diss, h_nodes, h_mids, grid.dt, idx):
+            s = _ordered_product(maps) @ s
+        blocks.append(s)
+    if dim <= 3:
+        return blocks[0]
+    s = np.zeros((n, n), dtype=complex)
+    for idx, block in zip(sectors, blocks):
+        s[idx[:, :, None], idx[:, None, :]] = block
     return s
 
 

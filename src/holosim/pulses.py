@@ -115,25 +115,20 @@ def sample(env: Envelope, t):
 
 
 def area(env: Envelope) -> float:
-    """integral of sample over [0, duration] by adaptive quadrature.
+    """integral of sample over [0, duration].
 
-    Relative error is held below 1e-9 (the synthesis contracts assume exact
-    pulse areas at that level).
+    A flat-top's is closed form, peak_amplitude * (flat + ramp): each sin^2
+    ramp integrates to ramp/2. A truncated Gaussian's is adaptive quadrature
+    with relative error held below 1e-9 (the synthesis contracts assume
+    exact pulse areas at that level).
     """
     if env.peak_amplitude == 0:
         return 0.0
+    if isinstance(env, SquareWithRamps):
+        return env.peak_amplitude * (env.flat + env.ramp)
     from scipy.integrate import quad
-    pts = None
-    if isinstance(env, SquareWithRamps) and env.ramp > 0:
-        pts = [env.ramp, env.ramp + env.flat]
     val, err = quad(
-        lambda x: float(env.shape(x)),
-        0.0,
-        env.duration,
-        points=pts,
-        epsabs=0.0,
-        epsrel=1e-11,
-        limit=200,
+        lambda x: float(env.shape(x)), 0.0, env.duration, epsabs=0.0, epsrel=1e-11, limit=200
     )
     return env.peak_amplitude * val
 

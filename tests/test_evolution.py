@@ -12,6 +12,7 @@ Analytic oracles used here:
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,21 +567,178 @@ class TestConstantPieces:
             )
         else:
             sched = sw.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE)
-        steps = []
-        rk4_maps = ev._rk4_maps
+        # steps per sector size, one dict per piece: six-level maps run per
+        # sector group, (groups, steps, s, s), so each group size steps
+        # through the whole piece and the piece's step count is read once
+        pieces = []
+        rk4_maps, channel = ev._rk4_maps, ev.channel_superoperator
+
+        def per_piece(h, collapse_ops, grid):
+            pieces.append({})
+            return channel(h, collapse_ops, grid)
 
         def counting(l_nodes, l_mids, dt):
-            steps.append(l_mids.shape[0])
+            size = l_mids.shape[-1]
+            pieces[-1][size] = pieces[-1].get(size, 0) + l_mids.shape[-3]
             return rk4_maps(l_nodes, l_mids, dt)
 
+        monkeypatch.setattr(ev, "channel_superoperator", per_piece)
         monkeypatch.setattr(ev, "_rk4_maps", counting)
         sup = ev.schedule_channel(
             sched, dev.q1_noise, steps=2048, space="cavity_full",
             cavity_noise=dev.cavity_noise,
         )
-        assert sum(steps) == rk4_steps
+        assert len(pieces) == 3 and all(len(set(p.values())) <= 1 for p in pieces)
+        assert sum(max(p.values(), default=0) for p in pieces) == rk4_steps
         bra_i = np.eye(6).reshape(-1)
         assert np.max(np.abs(bra_i @ sup - bra_i)) < 1e-9
+
+
+def paper_leg(leg):
+    """A decohered paper-device leg of the cavity pipeline: its schedule,
+    transmon noise and six-level Hamiltonian."""
+    dev = md.paper_device()
+    if leg == "gate":
+        sched = hl.synthesize_cavity_gate(
+            math.pi / 2, math.pi, 0.0, dev.g1 / math.sin(math.pi / 4)
+        )
+        noise = dev.q1_noise
+    else:
+        sched, noise = sw.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE), dev.q2_noise
+    return sched, noise, lambda t: md.six_level_cavity_hamiltonian(sched, t=t)
+
+
+def record_sectors(monkeypatch):
+    """Every result of ev._sectors from now on, in call order."""
+    seen, sectors = [], ev._sectors
+
+    def recording(pattern):
+        seen.append(sectors(pattern))
+        return seen[-1]
+
+    monkeypatch.setattr(ev, "_sectors", recording)
+    return seen
+
+
+def sector_mask(groups, n):
+    """Boolean (n, n) mask of the diagonal blocks of a _sectors result."""
+    mask = np.zeros((n, n), dtype=bool)
+    for idx in groups:
+        mask[idx[:, :, None], idx[:, None, :]] = True
+    return mask
+
+
+def loop_cfm4(h, grid):
+    """Dense CFM4, one pair of 6x6 scipy exponentials per step, as a reference."""
+    u = np.eye(np.asarray(h(grid.t0)).shape[-1], dtype=complex)
+    for k in range(grid.steps):
+        t = grid.t0 + k * grid.dt
+        h1, h2 = (np.asarray(h(t + c * grid.dt)) for c in (ev._C1, ev._C2))
+        first = scipy.linalg.expm(-1j * grid.dt * (ev._A1 * h1 + ev._A2 * h2))
+        u = scipy.linalg.expm(-1j * grid.dt * (ev._A2 * h1 + ev._A1 * h2)) @ first @ u
+    return u
+
+
+class TestSectors:
+    #: sector sizes of the paper legs: (Liouvillian, Hamiltonian), largest first
+    SIZES = {
+        "swap": ([8, 5, 5, 3, 3, 3, 3] + [1] * 6, [2, 1, 1, 1, 1]),
+        "gate": ([20, 7, 7, 1, 1], [3, 1, 1, 1]),
+    }
+    DRIVEN = {"swap": [2, 3], "gate": [0, 2, 3]}  # |0g> 0, |0f> 2, |1g> 3
+
+    @pytest.mark.parametrize("leg", sorted(SIZES))
+    def test_sector_sizes_of_the_paper_legs(self, monkeypatch, leg):
+        sched, noise, h = paper_leg(leg)
+        collapse = md.six_level_collapse_operators(noise, md.paper_device().cavity_noise)
+        seen = record_sectors(monkeypatch)
+        grid = ev.TimeGrid(0.0, sched.boundaries()[1], 16)  # the rising ramp
+        ev.channel_superoperator(h, collapse, grid)
+        ev.propagate_unitary(h, grid)
+        sizes = [sorted((idx.shape[1] for idx in groups for _ in idx), reverse=True)
+                 for groups in seen]
+        assert sizes == list(self.SIZES[leg])
+        assert seen[1][-1].tolist() == [self.DRIVEN[leg]]
+        # the sectors are invariant: the dense Liouvillian is zero off them
+        mask = sector_mask(seen[0], 36)
+        for t in np.linspace(grid.t0, grid.t1, 5):
+            assert not np.any(liouvillian(h(t), collapse)[~mask])
+
+    @pytest.mark.parametrize("leg", sorted(SIZES))
+    def test_pieces_match_dense_references(self, monkeypatch, leg):
+        sched, noise, h = paper_leg(leg)
+        collapse = md.six_level_collapse_operators(noise, md.paper_device().cavity_noise)
+        seen = record_sectors(monkeypatch)
+        for a, b, n in ev._piece_grids(sched, 256):
+            grid = ev.TimeGrid(a, b, n)
+            sup = ev.channel_superoperator(h, collapse, grid)
+            u = ev.propagate_unitary(h, grid)
+            h0 = h(a)
+            if np.array_equal(h0, h(0.5 * (a + b))):  # the flat top: exact exponentials
+                ref_sup = scipy.linalg.expm(liouvillian(h0, collapse) * (b - a))
+                ref_u = scipy.linalg.expm(-1j * (b - a) * h0)
+            else:
+                ref_sup = loop_rk4(h, collapse, grid, np.eye(36, dtype=complex))[-1]
+                ref_u = loop_cfm4(h, grid)
+            assert np.max(np.abs(sup - ref_sup)) <= 1e-13
+            assert np.max(np.abs(u - ref_u)) <= 1e-13
+            assert not np.any(sup[~sector_mask(seen[-2], 36)])
+            assert not np.any(u[~sector_mask(seen[-1], 6)])
+
+    @pytest.mark.parametrize("leg", sorted(SIZES))
+    def test_leg_channels_are_cptp(self, leg):
+        sched, noise, _ = paper_leg(leg)
+        sup = ev.schedule_channel(
+            sched, noise, steps=2048, space="cavity_full",
+            cavity_noise=md.paper_device().cavity_noise,
+        )
+        bra_i = np.eye(6).reshape(-1)
+        assert np.max(np.abs(bra_i @ sup - bra_i)) <= 1e-12
+        j = choi(sup)
+        assert np.max(np.abs(j - j.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(0.5 * (j + j.conj().T)).min() >= -1e-12
+
+    @pytest.mark.parametrize("space", ["qutrit", "cavity_effective"])
+    def test_three_level_spaces_stay_dense(self, monkeypatch, space):
+        # a theta = 0 loop leaves the ge tone silent, so its Liouvillian
+        # splits too; d = 3 must still take the dense path
+        def refuse(pattern):
+            raise AssertionError("a three-level space was split into sectors")
+
+        monkeypatch.setattr(ev, "_sectors", refuse)
+        if space == "qutrit":
+            sched = hl.synthesize_qubit_gate(hl.QUBIT_GATES["Z_pi"])
+        else:
+            sched = hl.synthesize_cavity_gate(0.0, math.pi, 0.0, 2e7)
+        u = ev.schedule_unitary(sched, steps=256, space=space)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
+        sup = ev.schedule_channel(sched, md.paper_device().q1_noise, steps=256, space=space)
+        bra_i = np.eye(3).reshape(-1)
+        assert np.max(np.abs(bra_i @ sup - bra_i)) < 1e-12
+
+
+class TestWorkingSet:
+    # traced peaks of one paper-device swap channel before the sector split
+    # (numpy 2.4, x86-64): 4.59 MiB at 2048 steps, 21.99 MiB at 16384, where
+    # the flat top's Hamiltonian stack and its guard dominate
+    @pytest.mark.parametrize("steps, before_mib", [(2048, 4.6), (16384, 22.0)])
+    def test_six_level_swap_channel_peak_does_not_rise(self, steps, before_mib):
+        sched, noise, _ = paper_leg("swap")
+        cavity_noise = md.paper_device().cavity_noise
+
+        def run(n):
+            return ev.schedule_channel(
+                sched, noise, steps=n, space="cavity_full", cavity_noise=cavity_noise
+            )
+
+        run(64)  # imports and first-call caches stay outside the trace
+        tracemalloc.start()
+        try:
+            run(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before_mib * 2**20
 
 
 @st.composite

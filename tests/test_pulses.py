@@ -83,6 +83,22 @@ class TestSquareWithRamps:
         assert pl.area(env) == pytest.approx(5.0e5 * (70e-9 + 12e-9), rel=1e-10)
 
 
+    @pytest.mark.parametrize("ramp", [0.0, 1e-9, 10e-9, 30e-9])
+    def test_closed_form_area_matches_the_quadrature_it_replaced(self, ramp):
+        # flat-top areas were adaptive quadrature split at the ramp edges
+        from scipy.integrate import quad
+
+        for flat in [0.0] + [10.0**e for e in range(-9, -3)]:  # 0 and 1 ns ... 100 us
+            if flat == ramp == 0.0:
+                continue
+            env = pl.SquareWithRamps(flat, ramp, peak_amplitude=2.0 * math.pi * 5e6)
+            pts = [ramp, ramp + flat] if ramp > 0 else None
+            val, _ = quad(lambda x: float(env.shape(x)), 0.0, env.duration, points=pts,
+                          epsabs=0.0, epsrel=1e-11, limit=200)
+            old = env.peak_amplitude * val
+            assert abs(pl.area(env) - old) <= 1e-15 * old
+
+
 class TestConstant:
     def test_shape_and_area(self):
         # the rectangle is a flat top with no ramps
