@@ -54,9 +54,12 @@ nodes exceeds MAX_STEP_PHASE, even on a constant piece: beyond it the step
 unitaries no longer approximate the evolution. The Lindblad path refuses
 one whose Liouvillian step (2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds
 the same bound, because the commutator's spectrum reaches 2 ||H|| and
-beyond the bound RK4 leaves its stability region. Both guards run before
-the constant-piece shortcut, so a grid is refused or accepted whatever its
-Hamiltonian's time dependence.
+beyond the bound RK4 leaves its stability region. Both paths refuse an H
+that is not Hermitian to 1e-8 at some node. The guards run before the
+constant-piece shortcut, so a grid is refused or accepted whatever its
+Hamiltonian's time dependence. A stack whose nodes are all equal (exact
+==; a nan never is) is guarded, and its sector pattern found, on its
+first node alone: the same verdict and numbers as the whole stack give.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -141,6 +144,11 @@ def _eval_hamiltonian(h, times: np.ndarray) -> np.ndarray:
     if out.ndim < 3 or out.shape[-1] != out.shape[-2]:
         raise DimensionMismatchError(f"hamiltonian returned shape {out.shape}")
     return out.astype(complex, copy=False)
+
+
+def _check_hermitian(h_stack: np.ndarray) -> None:
+    if not is_hermitian(h_stack, 1e-8):
+        raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
 
 
 def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
@@ -230,11 +238,10 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
             for size in sorted({c.size for c in comps})]
 
 
-def _unitary_core(h_gauss: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _unitary_core(h_gauss: np.ndarray, grid: TimeGrid, flat: np.ndarray) -> np.ndarray:
     """Propagators of a Gauss-node stack (..., 2 steps, d, d): one exact
     exponential for a batch member whose Hamiltonian is the same at every
-    node, the CFM4 product for the others."""
-    flat = np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1))
+    node (flat, one flag per member), the CFM4 product for the others."""
     u = None if np.all(flat) else _cfm4_product(h_gauss, grid.dt)
     if np.any(flat):
         exact = expm_hermitian(h_gauss[..., 0, :, :], prefactor=-1j * (grid.t1 - grid.t0))
@@ -256,7 +263,7 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
 
     h(t) must be Hermitian at every node and may return leading batch axes,
     (..., times, d, d); the propagators then come back stacked (..., d, d).
-    The per-step phase guard runs on the Gauss-node stack first: a step
+    The guards run on the Gauss-node stack first (module docstring): a step
     whose phase max ||H||_inf dt exceeds MAX_STEP_PHASE raises
     StepTooLargeError. Then a batch member whose Hamiltonian is the same at
     every node is one exact exponential over the whole grid. For d > 3 that
@@ -266,20 +273,22 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     nodes = starts[:, None] + grid.dt * np.array([_C1, _C2])  # t_k + c dt
     h_gauss = _eval_hamiltonian(h, nodes.reshape(-1))
     dim = h_gauss.shape[-1]
-    if not is_hermitian(h_gauss, 1e-8):
-        raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
+    flat = np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1))
+    if np.all(flat):  # one node decides every guard and pattern below
+        h_gauss = h_gauss[..., :1, :, :]
+    _check_hermitian(h_gauss)
     _check_step_phase(h_gauss, grid.dt)
     if dim > 3:
         u = np.zeros(h_gauss.shape[:-3] + (dim, dim), dtype=complex)
         for idx in _sectors(np.count_nonzero(h_gauss, axis=tuple(range(h_gauss.ndim - 2))) > 0):
             rows, cols = idx[:, :, None], idx[:, None, :]
-            block = _unitary_core(np.moveaxis(h_gauss[..., rows, cols], -3, 0), grid)
+            block = _unitary_core(np.moveaxis(h_gauss[..., rows, cols], -3, 0), grid, flat)
             u[..., rows, cols] = np.moveaxis(block, 0, -3)
     else:
         # C order for every batch shape, so the matmuls callers apply to a block
         # and to one cell run the same kernel: numpy's own loop, which it takes
         # for other layouts, is not bound to round like BLAS
-        u = np.ascontiguousarray(_unitary_core(h_gauss, grid))
+        u = np.ascontiguousarray(_unitary_core(h_gauss, grid, flat))
     drift = np.max(np.abs(dagger(u) @ u - np.eye(dim)))
     if drift > 1e-9:
         raise StepTooLargeError(f"propagator unitarity drift {drift:.2e}")
@@ -325,13 +334,11 @@ def _rk4_nodes(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mids
 
 
-def _check_liouvillian_step(h_stacks, diss: np.ndarray, dt: float) -> None:
+def _check_liouvillian_step(h_stack: np.ndarray, diss: np.ndarray, dt: float) -> None:
     """Raise StepTooLargeError if (2 ||H||_inf + ||diss||_inf) dt, a bound on
     ||L||_inf dt of the Liouvillian -i[H, .] + diss, exceeds MAX_STEP_PHASE
-    for any H in the stacks."""
-    # np.max, unlike max(), propagates a nan from any stack
-    h_norm = float(np.max([np.einsum("kij->ki", np.abs(h)).max() for h in h_stacks]))
-    phase = 2.0 * h_norm * dt
+    for any H in the stack."""
+    phase = 2.0 * float(np.einsum("kij->ki", np.abs(h_stack)).max()) * dt
     decay = float(np.abs(diss).sum(axis=1).max()) * dt
     if not phase + decay <= MAX_STEP_PHASE:  # also catches nan
         raise StepTooLargeError(
@@ -406,19 +413,24 @@ _CHUNK_ENTRIES = 32 * 36 * 36
 
 def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
     """Dissipator and the node and midpoint Hamiltonian stacks of a Lindblad
-    grid, plus whether H is the same, exact ==, at every node and midpoint.
+    grid, plus whether H is the same, exact ==, at every node and midpoint;
+    on such a constant piece both stacks are cut to its first node.
 
     H is evaluated on the nodes and midpoints in one call, and the
-    dimension is read from it. The Liouvillian step guard runs first, so a
+    dimension is read from it. The Liouvillian step guard and then the
+    Hermiticity check run first, on the one node of a constant piece, so a
     constant piece is refused exactly where a stepped one is.
     """
     nodes, mids = _rk4_nodes(grid)
     h_all = _eval_hamiltonian(h, np.concatenate([nodes, mids]))
-    h_nodes, h_mids = h_all[: nodes.size], h_all[nodes.size :]
+    flat = bool(np.all(h_all == h_all[0]))
+    probe = h_all[:1] if flat else h_all
     diss = _dissipator(collapse_ops, h_all.shape[-1])
-    _check_liouvillian_step((h_nodes, h_mids), diss, grid.dt)
-    flat = np.all(h_nodes == h_nodes[0]) and np.all(h_mids == h_nodes[0])
-    return diss, h_nodes, h_mids, flat
+    _check_liouvillian_step(probe, diss, grid.dt)  # first: it names a nan
+    _check_hermitian(probe)
+    if flat:
+        return diss, probe, probe, True
+    return diss, h_all[: nodes.size], h_all[nodes.size :], False
 
 
 def _step_maps(diss: np.ndarray, h_nodes: np.ndarray, h_mids: np.ndarray, dt: float, idx=None):
@@ -456,7 +468,7 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         )
     if flat:
         from scipy.linalg import expm
-        step = expm(_liouvillians(h_nodes[:1], diss)[0] * grid.dt)
+        step = expm(_liouvillians(h_nodes, diss)[0] * grid.dt)
         chunks = [np.broadcast_to(step, (grid.steps,) + diss.shape)]
     else:
         chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
@@ -480,8 +492,8 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
 def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     """Channel superoperator (d^2, d^2) of the Lindblad equation.
 
-    After the Liouvillian step guard, a piece whose Hamiltonian is the same
-    at every RK4 node and midpoint is one exact exponential
+    After the guards (module docstring), a piece whose Hamiltonian is the
+    same at every RK4 node and midpoint is one exact exponential
     exp(L (t1 - t0)), an exactly CPTP map. Otherwise RK4 on the linear
     Lindblad equation is a product of per-step maps; each chunk of maps is
     reduced by the pairwise tree product, so no Python loop runs over
@@ -500,7 +512,7 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     for idx in sectors:
         if flat:
             from scipy.linalg import expm
-            l_const = _liouvillians(h_nodes[:1], diss, idx)[..., 0, :, :]
+            l_const = _liouvillians(h_nodes, diss, idx)[..., 0, :, :]
             blocks.append(expm(l_const * (grid.t1 - grid.t0)))
             continue
         s = np.eye(n if idx is None else idx.shape[1], dtype=complex)

@@ -26,6 +26,7 @@ from holosim import model as md
 from holosim import sweeps as sw
 from holosim.errors import (
     DimensionMismatchError,
+    HolosimError,
     NonHermitianInputError,
     OutOfRangeError,
     StepTooLargeError,
@@ -554,6 +555,53 @@ class TestConstantPieces:
         traj = ev.propagate_lindblad(lambda t: hmat, collapse, rho0, grid)
         sup = ev.channel_superoperator(lambda t: hmat, collapse, grid)
         assert np.max(np.abs(traj.final - ev.apply_channel(sup, rho0))) < 1e-12
+
+    # constant pieces run their guards on one node; these pin that the
+    # verdicts and messages are those of the whole stack
+    GRID = ev.TimeGrid(0, 1e-7, 16)
+
+    @staticmethod
+    def _refusal(call):
+        with pytest.raises(HolosimError) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def test_constant_piece_above_step_bound_refused_as_a_stepped_one(self):
+        # |H|_inf dt = 6.25 rad on both; the stepped H halves after t1 / 2
+        const = lambda t: 1.0e9 * SX3
+        stepped = lambda t: np.where(np.asarray(t) < 5e-8, 1.0, 0.5)[..., None, None] * 1.0e9 * SX3
+        for run in (ev.propagate_unitary, lambda h, g: ev.channel_superoperator(h, [], g)):
+            refusal = self._refusal(lambda: run(const, self.GRID))
+            assert refusal[0] is StepTooLargeError and "per-step phase" in refusal[1]
+            assert refusal == self._refusal(lambda: run(stepped, self.GRID))
+
+    @pytest.mark.parametrize("last, unitary_error, channel_error", [
+        (1.0e9 * SX3, StepTooLargeError, StepTooLargeError),
+        (np.nan * SX3, NonHermitianInputError, StepTooLargeError),
+        (1.0e6 * DECAY_10, NonHermitianInputError, NonHermitianInputError),
+    ])
+    def test_stack_constant_but_for_its_last_node_refused(self, last, unitary_error, channel_error):
+        def h(t):
+            out = np.repeat((1.0e6 * SX3)[None], np.size(t), axis=0)
+            out[-1] = last
+            return out
+
+        with pytest.raises(unitary_error):
+            ev.propagate_unitary(h, self.GRID)
+        with pytest.raises(channel_error):
+            ev.channel_superoperator(h, [], self.GRID)
+
+    @pytest.mark.parametrize("scale", [
+        lambda t: np.ones(np.shape(t)),  # a constant piece
+        lambda t: 1.0 + np.asarray(t) / 1e-7,
+    ])
+    def test_non_hermitian_hamiltonian_refused_by_the_lindblad_path(self, scale):
+        h = lambda t: scale(t)[..., None, None] * 1.0e6 * DECAY_10
+        rho0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        message = self._refusal(lambda: ev.propagate_unitary(h, self.GRID))
+        assert message[0] is NonHermitianInputError
+        assert self._refusal(lambda: ev.channel_superoperator(h, [], self.GRID)) == message
+        assert self._refusal(lambda: ev.propagate_lindblad(h, [], rho0, self.GRID)) == message
 
     @pytest.mark.parametrize("schedule, rk4_steps", [
         ("gate", 28),  # two 14-step sin^2 ramps; the flat top is one exponential

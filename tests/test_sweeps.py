@@ -296,8 +296,23 @@ class TestCavityPipeline:
 
         monkeypatch.setattr(ev, "schedule_unitary", counting)
         sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
-        # encode swap, decode swap, gate: the frame calibration shares the swaps
-        assert len(calls) == 3
+        # encode swap and gate: the frame calibration shares the swaps, and
+        # the decode swap is the encode swap's photon-parity conjugate
+        assert len(calls) == 2
+        assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
+
+    def test_decohered_run_integrates_two_channels(self, monkeypatch):
+        calls = []
+        channel = ev.schedule_channel
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return channel(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "schedule_channel", counting)
+        sw.cavity_pipeline((math.pi / 2.0, 0.0), include_decoherence=True, steps=256)
+        assert len(calls) == 2  # encode swap and gate
+        assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
 
     def test_noiseless_json_unchanged_by_shared_swaps(self, tmp_path):
         # digest of the file written when calibration and legs propagated the
@@ -307,12 +322,15 @@ class TestCavityPipeline:
         # from the midpoint-rule pin, towards a 16384-step run. Re-pinned
         # when six-level propagation went per sector and flat-top areas
         # closed form: the values moved by at most 9.8e-15 (chi_real and
-        # fidelity_att), rounding only.
+        # fidelity_att), rounding only. Re-pinned when the decode swap became
+        # the encode swap's photon-parity conjugate: the values moved by at
+        # most 1e-18 (3.3e-19 measured), since exp(-i pi/2) is not exactly
+        # -exp(i pi/2) in floating point.
         res = sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
         path = tmp_path / "cavity.json"
         res.to_json(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7fab636d294dfebd8fceea690e824aaac56ea617b69e91dd22a76c214cc659eb"
+            "5fabfed1ac927667b03b10d85c7d31f2f00fee98088ba9fc77e9b7e5c1d86858"
         )
 
     def test_json_export(self, tmp_path):
@@ -325,3 +343,38 @@ class TestCavityPipeline:
         assert payload["fidelity_att"] == res.fidelity_att
         assert np.asarray(payload["chi_real"]).shape == (4, 4)
         assert payload["chi_labels"] == ["I", "X", "-iY", "Z"]
+
+
+class TestPhotonParity:
+    """The decode swap is the photon-parity conjugate of the encode swap."""
+
+    PARITY = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+
+    def test_collapse_operators_are_even_or_odd(self):
+        noise = md.NoiseModel(
+            gamma_eg=1e4, gamma_fe=2e4, gamma_fg=3e3, gamma_phi_ge=5e3, gamma_phi_ef=9e3
+        )
+        cavity = md.CavityNoise(gamma_loss=2e3, gamma_phi=7e2)
+        ops = md.six_level_collapse_operators(noise, cavity)
+        assert len(ops) == 7  # every rate nonzero: 5 transmon + loss + dephasing
+        for c in ops:
+            flipped = self.PARITY @ c @ self.PARITY
+            assert np.array_equal(flipped, c) or np.array_equal(flipped, -c)
+
+    @pytest.mark.parametrize("steps", [256, 2048])
+    def test_derived_decode_matches_direct_integration(self, steps):
+        dev = md.paper_device()
+        decode = hl.encode_swap_schedule(dev.g_swap, sw.DECODE_PHASE)
+        u_enc, u_dec = sw._swap_unitaries(dev, steps)
+        direct_u = ev.schedule_unitary(decode, steps=steps, space="cavity_full")
+        assert np.max(np.abs(u_dec - direct_u)) <= 1e-14
+        assert np.array_equal(u_dec, self.PARITY @ u_enc @ self.PARITY)
+
+        def channel(phase):
+            return ev.schedule_channel(
+                hl.encode_swap_schedule(dev.g_swap, phase), dev.q2_noise, steps=steps,
+                space="cavity_full", cavity_noise=dev.cavity_noise,
+            )
+
+        derived = sw._decode_from_encode(channel(sw.ENCODE_PHASE))
+        assert np.max(np.abs(derived - channel(sw.DECODE_PHASE))) <= 1e-14
