@@ -111,6 +111,10 @@ MAX_STEPS = 65536
 #: (1e12 shots resolve a probability to 5e-7; counts stay exact floats)
 MAX_RB_LENGTH = MAX_RB_K = 1000
 MAX_SHOTS = 10**12
+#: ceiling on each sweep axis count: 1000 x 1000 is 10^6 cells, minutes of
+#: propagation at 128 steps, while an unbounded count ends in numpy refusing
+#: (or failing to allocate) the grid after the manifest is written
+MAX_SWEEP_COUNT = 1000
 #: accepted envelope lengths (sigma_ns, total_ns) in ns: 1 ps to 1 ms spans
 #: every transmon drive
 ENVELOPE_NS = (1e-3, 1e6)
@@ -285,8 +289,9 @@ def _parse_axis(block, key, path, default_min, default_max):
     lo = _field(spec, "min", full, "number")
     hi = _field(spec, "max", full, "number")
     count = _field(spec, "count", full, "int")
-    if count < 1:
-        raise ConfigError(f"must be >= 1, got {count}", _join(full, "count"))
+    if not 1 <= count <= MAX_SWEEP_COUNT:
+        raise ConfigError(f"must be in [1, {MAX_SWEEP_COUNT}], got {count}",
+                          _join(full, "count"))
     if hi < lo:
         raise ConfigError(f"max {hi} is below min {lo}", _join(full, "max"))
     return np.linspace(lo, hi, count)
@@ -473,6 +478,11 @@ def _run_cavity(cfg, ctx: RunContext):
         _reject_unknown(raw_gate, {"theta", "phi"}, "cavity.gate")
         theta = _field(raw_gate, "theta", "cavity.gate", "number")
         phi = _field(raw_gate, "phi", "cavity.gate", "number", default=0.0)
+        if not 0.0 <= theta <= math.pi:
+            raise ConfigError(f"must be in [0, pi], got {theta}", "cavity.gate.theta")
+        if not abs(phi) <= MAX_ANGLE:
+            raise ConfigError(f"must be within +-{MAX_ANGLE:g} rad, got {phi}",
+                              "cavity.gate.phi")
         gate = (theta, phi)
     else:
         raise ConfigError(

@@ -241,7 +241,7 @@ def synthesize_cavity_gate(
     if not 0.0 <= theta <= math.pi:
         raise OutOfRangeError(f"theta must lie in [0, pi], got {theta}")
     s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    same_phase = abs((gamma - math.pi) % (2.0 * math.pi)) < 1e-12
+    same_phase = abs(math.remainder(gamma - math.pi, 2.0 * math.pi)) < 1e-12
     half_specs = (
         [(math.pi, (phi, math.pi))]
         if same_phase

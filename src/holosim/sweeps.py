@@ -15,12 +15,11 @@ The cavity pipeline prepares the four tomography inputs on the transmon
 (g, f) qubit, encodes them into the Fock {|0>, |1>} subspace with a resonant
 sideband swap, applies a gamma = pi loop gate, decodes with a second swap,
 and extracts the 4x4 qubit process matrix. Swap pulse phases +pi/2 (encode)
-and -pi/2 (decode) make |f> -> |1> -> |f> round-trip without residual
-phases; whatever z-rotation remains is absorbed by a single calibrated
-frame phase applied after decoding, chosen to maximize the identity
-pipeline's fidelity. The swap legs use the readout transmon's noise model
-and the gate leg uses the gate transmon's, each together with photon loss
-and dephasing of the storage mode.
+and -pi/2 (decode) differ by pi, so without noise the decode swap is exactly
+the inverse of the encode swap and |f> -> |1> -> |f> round-trips with no
+residual phase: no decode frame is calibrated. The swap legs use the
+readout transmon's noise model and the gate leg uses the gate transmon's,
+each together with photon loss and dephasing of the storage mode.
 """
 
 from __future__ import annotations
@@ -264,60 +263,24 @@ def _qubit_block(rho6: np.ndarray) -> np.ndarray:
     return rho_t[np.ix_((0, 2), (0, 2))]
 
 
-def _frame_unitary(phase: float) -> np.ndarray:
-    """Virtual z-rotation on the transmon f level, photon-independent."""
-    return np.diag(
-        [1.0, 1.0, np.exp(1j * phase), 1.0, 1.0, np.exp(1j * phase)]
-    ).astype(complex)
-
-
 #: photon parity P = diag(1, 1, 1, -1, -1, -1) on {|0g>..|1f>}
 _PARITY = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
-def _decode_from_encode(m: np.ndarray) -> np.ndarray:
-    """The decode swap's propagator P m P (6x6) or channel (P x P) m (P x P)
-    (36x36, row-major vec) from the encode swap's m, by sign flips only.
+def _decode_from_encode(s: np.ndarray) -> np.ndarray:
+    """The decode swap's channel (P x P) s (P x P) (36x36, row-major vec)
+    from the encode swap's channel s, by sign flips only.
 
     A swap drives only the raman tone |1g> <-> |0f>, and the two phases
-    differ by pi, so the decode H is P H P. Every collapse operator from
+    differ by pi, so the decode H is P H P = -H. Without noise the decode
+    swap is therefore exactly the inverse of the encode swap, which is why
+    no decode frame needs calibrating. Every collapse operator from
     md.six_level_collapse_operators has P L P = +-L, and D[-L] = D[L], so P
     maps one Lindbladian onto the other (a weak symmetry: Buca & Prosen,
     NJP 14, 073007 (2012)).
     """
-    z = _PARITY if m.shape[-1] == 6 else np.kron(_PARITY, _PARITY)
-    return z[:, None] * m * z[None, :]
-
-
-def _swap_unitaries(device: md.DeviceTable, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless six-level propagators of the encode and decode swaps; only
-    the encode swap is integrated (see _decode_from_encode)."""
-    u_enc = ev.schedule_unitary(
-        encode_swap_schedule(device.g_swap, ENCODE_PHASE), steps=steps, space="cavity_full"
-    )
-    return u_enc, _decode_from_encode(u_enc)
-
-
-def _frame_phase(u_enc: np.ndarray, u_dec: np.ndarray) -> float:
-    """Decode-frame phase in closed form; see calibrate_frame_phase."""
-    u = u_dec @ u_enc
-    b00, b11 = u[0, 0], u[2, 2]
-    if abs(b00) < 1e-9 or abs(b11) < 1e-9:
-        raise OutOfRangeError("identity pipeline does not return the qubit")
-    return float(np.angle(b00) - np.angle(b11))
-
-
-def calibrate_frame_phase(
-    device: md.DeviceTable | None = None, steps: int = PIPELINE_STEPS
-) -> float:
-    """Decode-frame phase that maximizes the identity pipeline's fidelity.
-
-    The noiseless encode-decode propagator acts on the qubit as
-    diag(b00, b11); the frame-rotated fidelity |b00 + e^{i phi} b11|^2 / 4
-    peaks exactly at phi = arg(b00) - arg(b11), so the maximizer is computed
-    in closed form rather than scanned.
-    """
-    return _frame_phase(*_swap_unitaries(device or md.paper_device(), steps))
+    z = np.kron(_PARITY, _PARITY)
+    return z[:, None] * s * z[None, :]
 
 
 @dataclass(frozen=True)
@@ -328,7 +291,6 @@ class CavityPipelineResult:
     chi: tm.ChiMatrix
     fidelity_att: float
     fidelity_unatt: float
-    frame_phase: float
     include_decoherence: bool
 
     def to_json(self, path) -> None:
@@ -337,7 +299,6 @@ class CavityPipelineResult:
             "gate": self.gate_label,
             "fidelity_att": self.fidelity_att,
             "fidelity_unatt": self.fidelity_unatt,
-            "frame_phase": self.frame_phase,
             "include_decoherence": self.include_decoherence,
             "chi_real": entries.real.tolist(),
             "chi_imag": entries.imag.tolist(),
@@ -357,13 +318,13 @@ def cavity_pipeline(
     ``gate`` is (theta, phi) of the gamma = pi loop; None skips the gate leg
     and scores the bare encode-decode round trip against the identity. When
     ``g_total`` is omitted it is chosen so the two-photon tone sits at the
-    device's calibrated amplitude: g_total = g1 / sin(theta / 2). Every run
-    calibrates its decode-frame phase with calibrate_frame_phase at the same
-    step budget; a run without decoherence reuses the calibration's swap
-    propagators as its encode and decode legs. Only the encode swap is
-    integrated; the decode leg is its photon-parity conjugate.
+    device's calibrated amplitude: g_total = g1 / sin(theta / 2). Only the
+    encode swap is integrated; the decode leg is its photon-parity conjugate
+    (see _decode_from_encode). Noise or not, each leg is one schedule_channel
+    call, which without noise is the unitary channel of the propagator.
     """
     device = device or md.paper_device()
+    qn_swap = device.q2_noise if include_decoherence else md.NO_NOISE
     qn_gate = device.q1_noise if include_decoherence else md.NO_NOISE
     cn = device.cavity_noise if include_decoherence else md.NO_CAVITY_NOISE
 
@@ -372,16 +333,7 @@ def cavity_pipeline(
             schedule, qutrit_noise, steps=steps, space="cavity_full", cavity_noise=cn
         )
 
-    if include_decoherence:
-        frame_phase = calibrate_frame_phase(device, steps)
-        enc = leg(encode_swap_schedule(device.g_swap, ENCODE_PHASE), device.q2_noise)
-        dec = _decode_from_encode(enc)
-    else:
-        # noiseless swap legs are the calibration's own propagators
-        u_enc, u_dec = _swap_unitaries(device, steps)
-        frame_phase = _frame_phase(u_enc, u_dec)
-        enc, dec = ev.unitary_superoperator(u_enc), ev.unitary_superoperator(u_dec)
-
+    enc = leg(encode_swap_schedule(device.g_swap, ENCODE_PHASE), qn_swap)
     sup = enc
     if gate is None:
         target = np.eye(2, dtype=complex)
@@ -399,8 +351,7 @@ def cavity_pipeline(
         sup = leg(schedule, qn_gate) @ sup
         target = target_u2(theta, phi)
         label = f"u2(theta={theta:.6g},phi={phi:.6g})"
-    sup = dec @ sup
-    sup = ev.unitary_superoperator(_frame_unitary(frame_phase)) @ sup
+    sup = _decode_from_encode(enc) @ sup
 
     basis = qubit_pauli_basis()
     inputs, outputs = [], []
@@ -417,6 +368,5 @@ def cavity_pipeline(
         chi=chi,
         fidelity_att=tm.fidelity_att(chi, chi_th),
         fidelity_unatt=tm.fidelity_unatt(chi, chi_th),
-        frame_phase=frame_phase,
         include_decoherence=include_decoherence,
     )

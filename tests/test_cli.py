@@ -264,6 +264,14 @@ class TestConfigValidation:
         # fewer than 3 distinct lengths: fit_rb failed after every channel was built
         ("rb", {"lengths": [1, 2, 2, 1], "k": 1}, None, "rb.lengths"),
         ("rb", {"m_max": 2, "k": 1}, None, "rb.m_max"),
+        # unbounded, numpy failed to allocate the grid (or refused its size)
+        ("sweep", {"family": "holonomic", "gate": "H",
+                   "epsilon": {"min": -0.1, "max": 0.1, "count": 10**7},
+                   "detuning_mhz": {"min": -1, "max": 1, "count": 10**7}},
+         None, "sweep.epsilon.count"),
+        ("sweep", {"family": "holonomic", "gate": "H",
+                   "detuning_mhz": {"min": -1, "max": 1, "count": 10**30}},
+         None, "sweep.detuning_mhz.count"),
     ])
     def test_counts_above_ceiling_exit_two_before_any_channel(
         self, tmp_path, capsys, monkeypatch, subcommand, block, shots, key
@@ -273,7 +281,9 @@ class TestConfigValidation:
 
         monkeypatch.setattr(bm, "schedule_channel", no_channel)
         monkeypatch.setattr(tm, "schedule_channel", no_channel)
-        cfg = {"schema_version": 1, "device": "paper-device", subcommand: block}
+        cfg = {"schema_version": 1, subcommand: block}
+        if subcommand in cli.DEVICE_SUBCOMMANDS:
+            cfg["device"] = "paper-device"
         path = write_config(tmp_path, cfg)
         with pytest.raises(ConfigError) as info:
             cli.run(subcommand, str(path), str(tmp_path / "out"), shots=shots)
@@ -289,10 +299,15 @@ class TestConfigValidation:
         ({"gate": {"theta": 1.0, "phi": math.nan}}, "cavity.gate.phi"),
         ({"gate": {"theta": 1.0, "phi": math.inf}}, "cavity.gate.phi"),
         ({"gate": {"theta": 1.0, "phi": 10**400}}, "cavity.gate.phi"),
+        ({"gate": {"theta": 4.0}}, "cavity.gate.theta"),
+        ({"gate": {"theta": -0.5}}, "cavity.gate.theta"),
+        ({"gate": {"theta": 1.0, "phi": 1e300}}, "cavity.gate.phi"),
     ])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, block, key):
         # unchecked, a NaN coupling crashes the default-coupling arithmetic
-        # and a non-finite phase surfaces as a misleading StepTooLargeError
+        # and a non-finite phase surfaces as a misleading StepTooLargeError;
+        # theta outside [0, pi] failed with no key path (or blamed theta = 0),
+        # and |phi| > MAX_ANGLE ran although a gate block rejects it
         path = write_config(tmp_path, {"schema_version": 1, "cavity": block})
         with pytest.raises(ConfigError) as info:
             cli.run("cavity", str(path), str(tmp_path / "out"))
@@ -659,7 +674,7 @@ def sweep_blocks(draw):
             lo, hi = hi, lo
         if draw(st.integers(0, 3)) == 0:
             lo, hi = hi, lo  # reversed: max below min
-        return {"min": lo, "max": hi, "count": draw(st.integers(1, 4))}
+        return {"min": lo, "max": hi, "count": draw(counts(4, cli.MAX_SWEEP_COUNT))}
 
     block = {
         "family": draw(st.sampled_from(["holonomic", "dynamic"])),

@@ -220,6 +220,14 @@ class TestCavitySynthesis:
             dist = phase_aligned_distance(u, hl.cavity_loop_unitary(theta, math.pi, phi))
             assert dist < 1e-5
 
+    @pytest.mark.parametrize("gamma", [
+        math.pi + 1e-13, math.pi - 1e-13, 3.0 * math.pi, -math.pi,
+    ])
+    def test_gamma_near_pi_on_either_side_is_one_pulse(self, gamma):
+        # a one-sided modulo took pi - 1e-13 for a generic gamma
+        sched = hl.synthesize_cavity_gate(1.1, gamma, 0.0, md.TWO_PI * 0.5e6)
+        assert len(sched.segments) == 2
+
     def test_generic_gamma_splits_halves(self):
         sched = hl.synthesize_cavity_gate(1.1, math.pi / 2, 0.0, md.TWO_PI * 0.5e6)
         assert len(sched.segments) == 4

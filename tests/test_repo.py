@@ -5,8 +5,8 @@ The README's library quick start runs as written, the benchmark tracer in
 perfbench/ still finds every from-import wrap point it expects, so renaming
 a traced function fails here rather than in a traced run, the fits still
 call scipy through the module attributes the tracer counts, no package
-module keeps an import it never uses, and importing the CLI (or rejecting
-a bad config with it) loads no scipy.
+module keeps an import it never uses or a private helper nothing calls, and
+importing the CLI (or rejecting a bad config with it) loads no scipy.
 """
 
 import ast
@@ -131,3 +131,21 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that no package code names is
+    # dead: a path deleted without its helpers leaves one behind
+    defined, referenced = [], set()
+    for path in sorted((ROOT / "src" / "holosim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    assert [d for d in defined if d.split()[-1] not in referenced] == []

@@ -245,10 +245,21 @@ class TestCrosstalkSweep:
 
 
 class TestFramePhase:
-    def test_default_device_round_trip_needs_no_frame(self):
-        # the +pi/2 / -pi/2 swap phases already cancel the encode phases
-        phase = sw.calibrate_frame_phase(steps=1024)
-        assert abs(phase) < 1e-6
+    @pytest.mark.parametrize("steps", [256, 2048])
+    def test_noiseless_decode_inverts_encode(self, steps):
+        # P H P = -H for a swap, so the round trip leaves no frame to calibrate
+        dev = md.paper_device()
+        s_enc = ev.schedule_channel(
+            hl.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE), steps=steps,
+            space="cavity_full",
+        )
+        round_trip = sw._decode_from_encode(s_enc) @ s_enc
+        assert np.max(np.abs(round_trip - np.eye(36))) <= 1e-12
+        # vec index 6 i + j holds |i><j|: entry [0, 0] maps the |0g><0g|
+        # population, entry [2, 2] the |0g><0f| coherence, so their phase
+        # difference is the decode frame phase
+        phase_0g, phase_0f = np.angle(round_trip[0, 0]), np.angle(round_trip[2, 2])
+        assert abs(phase_0g - phase_0f) <= 1e-15
 
     def test_identity_pipeline_is_clean(self):
         res = sw.cavity_pipeline(None, steps=1024)
@@ -296,8 +307,8 @@ class TestCavityPipeline:
 
         monkeypatch.setattr(ev, "schedule_unitary", counting)
         sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
-        # encode swap and gate: the frame calibration shares the swaps, and
-        # the decode swap is the encode swap's photon-parity conjugate
+        # encode swap and gate; the decode swap is the encode swap's
+        # photon-parity conjugate
         assert len(calls) == 2
         assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
 
@@ -314,6 +325,17 @@ class TestCavityPipeline:
         assert len(calls) == 2  # encode swap and gate
         assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
 
+    def test_decohered_run_propagates_no_unitary(self, monkeypatch):
+        # no noiseless swap is integrated beside the channels
+        calls = {"schedule_unitary": 0, "propagate_unitary": 0, "schedule_channel": 0}
+        for name in calls:
+            def counting(*args, _name=name, _call=getattr(ev, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(ev, name, counting)
+        sw.cavity_pipeline((math.pi / 2.0, 0.0), include_decoherence=True, steps=256)
+        assert calls == {"schedule_unitary": 0, "propagate_unitary": 0, "schedule_channel": 2}
+
     def test_noiseless_json_unchanged_by_shared_swaps(self, tmp_path):
         # digest of the file written when calibration and legs propagated the
         # swaps separately (numpy 2.4, x86-64); sharing them changes no bit.
@@ -325,12 +347,15 @@ class TestCavityPipeline:
         # fidelity_att), rounding only. Re-pinned when the decode swap became
         # the encode swap's photon-parity conjugate: the values moved by at
         # most 1e-18 (3.3e-19 measured), since exp(-i pi/2) is not exactly
-        # -exp(i pi/2) in floating point.
+        # -exp(i pi/2) in floating point. Re-pinned when the decode-frame
+        # calibration was deleted: the frame_phase key is gone, chi_imag moved
+        # by 1.4e-19 (the rounding-level frame rotation no longer applied),
+        # and both fidelities kept every bit.
         res = sw.cavity_pipeline((math.pi / 2.0, 0.0), steps=256)
         path = tmp_path / "cavity.json"
         res.to_json(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "5fabfed1ac927667b03b10d85c7d31f2f00fee98088ba9fc77e9b7e5c1d86858"
+            "8bfc071e55a064f8d4870b7f43b491543251d8a1a6e44db7a08c5f5d65b95d35"
         )
 
     def test_json_export(self, tmp_path):
@@ -365,10 +390,17 @@ class TestPhotonParity:
     def test_derived_decode_matches_direct_integration(self, steps):
         dev = md.paper_device()
         decode = hl.encode_swap_schedule(dev.g_swap, sw.DECODE_PHASE)
-        u_enc, u_dec = sw._swap_unitaries(dev, steps)
+        u_enc = ev.schedule_unitary(
+            hl.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE), steps=steps,
+            space="cavity_full",
+        )
+        u_dec = self.PARITY @ u_enc @ self.PARITY
         direct_u = ev.schedule_unitary(decode, steps=steps, space="cavity_full")
         assert np.max(np.abs(u_dec - direct_u)) <= 1e-14
-        assert np.array_equal(u_dec, self.PARITY @ u_enc @ self.PARITY)
+        assert np.array_equal(
+            sw._decode_from_encode(ev.unitary_superoperator(u_enc)),
+            ev.unitary_superoperator(u_dec),
+        )
 
         def channel(phase):
             return ev.schedule_channel(
