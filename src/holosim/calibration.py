@@ -12,7 +12,16 @@ Ramsey and Rabi share one variable-projection fit (Golub & Pereyra, Inverse
 Problems 19, R1 (2003)): only the decay rate and the tone frequencies are
 searched; the offset and the tone quadratures are solved linearly at every
 step. Each fit starts once from a deterministic guess (sub-bin spectral
-peaks, the trace span), so identical inputs give identical fits.
+peaks, the integrated rate equations), so identical inputs give identical fits.
+
+Every fit works in normalized units (time as (t - t0) / span, values over their
+largest magnitude) and maps parameters and covariance back by the chain rule,
+so none depends on the time unit or the value scale. All share one solver,
+``least_squares``: a bounded Levenberg-Marquardt (Moré, LNM 630 (1978)) on a
+forward-difference Jacobian, each parameter in units of its start value; a
+parameter on a bound whose gradient points outward is held there. It stops on
+relative rules only: a step below 1e-8 of the parameters (taken, then the
+search ends) or a step that gains less than 1e-14 of the cost.
 """
 
 from __future__ import annotations
@@ -43,12 +52,76 @@ MAX_DETREND_DEGREE = 7
 MAX_CSV_MAGNITUDE = 1e60
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first call so that importing
-    the package loads no scipy; every fit calls it through this name, which
-    perfbench/trace.py wraps to count evaluations."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+#: least_squares: relative stopping rules, iteration cap, Marquardt damping
+#: (initial and floor) and forward-difference step in unit-scale coordinates
+_XTOL, _FTOL, _MAX_TRIALS = 1e-8, 1e-14, 200
+_DAMPING, _MIN_DAMPING = 1e-6, 1e-12
+_FD_STEP = 2.0**-26  # the square root of the float64 machine epsilon
+
+
+class _Solution:  # a least_squares result: x, fun, jac, nfev, success, message
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+def least_squares(fun, x0, lower, upper) -> _Solution:
+    """Minimize |fun(x)|^2 over lower <= x <= upper from x0. Every fit calls it
+    through this name, which perfbench/trace.py wraps to count ``nfev``: every
+    call of ``fun``, Jacobian columns included. FitDivergenceError on a
+    non-finite cost at x0 or Jacobian; ``success`` is False after _MAX_TRIALS."""
+    x0 = np.asarray(x0, dtype=float)
+    unit = np.where(x0 != 0.0, np.abs(x0), 1.0)
+    lo, hi = lower / unit, upper / unit
+    nfev = 0
+
+    def evaluate(z):
+        nonlocal nfev
+        nfev += 1
+        r = np.asarray(fun(z * unit), dtype=float)
+        return r, float(r @ r)
+
+    def jacobian(z, r):
+        h = _FD_STEP * np.maximum(np.abs(z), 1.0)
+        jac = np.empty((r.size, z.size))
+        for i, step in enumerate(np.where(z + h > hi, -h, h)):
+            zi = z.copy()
+            zi[i] += step
+            jac[:, i] = (evaluate(zi)[0] - r) / (zi[i] - z[i])
+        if not np.isfinite(jac).all():
+            raise FitDivergenceError("least-squares Jacobian is not finite")
+        return jac
+
+    z = x0 / unit
+    r, cost = evaluate(z)
+    if not math.isfinite(cost):
+        raise FitDivergenceError("least-squares cost is not finite at the start point")
+    jac, damping, converged = jacobian(z, r), _DAMPING, False
+    for _ in range(_MAX_TRIALS):
+        # Marquardt-scaled normal equations; a held parameter's step is 0
+        grad = jac.T @ r
+        held = ((z <= lo) & (grad > 0)) | ((z >= hi) & (grad < 0))
+        a = jac.T @ jac
+        if held.any():
+            a[held] = a[:, held] = 0.0
+        diag = a.diagonal()
+        a.flat[:: z.size + 1] = diag + damping * np.where(diag > 0.0, diag, 1.0)
+        trial = np.clip(z - np.linalg.solve(a, np.where(held, 0.0, grad)), lo, hi)
+        small = np.linalg.norm(trial - z) <= _XTOL * (np.linalg.norm(z) + _XTOL)
+        r_new, cost_new = evaluate(trial) if np.isfinite(trial).all() else (r, math.inf)
+        if cost_new < cost:
+            converged = small or cost - cost_new <= _FTOL * cost
+            z, r, cost = trial, r_new, cost_new
+            damping = max(damping / 10.0, _MIN_DAMPING)
+            if not small:  # within _XTOL, the Jacobian of the last point stands
+                jac = jacobian(z, r)
+        else:
+            converged = small
+            damping = max(10.0 * damping, _DAMPING)
+        if converged:
+            break
+    return _Solution(x=np.clip(z * unit, lower, upper), fun=r, jac=jac / unit, nfev=nfev,
+                     success=converged, message="converged" if converged
+                     else f"no convergence in {_MAX_TRIALS} steps")
 
 
 def __getattr__(name):
@@ -136,7 +209,7 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
     """
     try:
         with open(path) as fh:
-            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+            lines = [(n, text) for n, ln in enumerate(fh, 1) if (text := ln.strip())]
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     expected = ",".join(header)
@@ -153,7 +226,7 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
             row = [float(cell) for cell in ln.split(",")]
         except ValueError:
             row = []
-        if len(row) != 2 or not all(abs(x) <= MAX_CSV_MAGNITUDE for x in row):
+        if len(row) != 2 or not abs(row[0]) <= MAX_CSV_MAGNITUDE >= abs(row[1]):
             raise IoError(f"{path} line {n}: expected two finite numbers of magnitude "
                           f"at most {MAX_CSV_MAGNITUDE:g}, got {ln!r}")
         rows.append(row)
@@ -175,21 +248,24 @@ class ChevronPoint:
 
 # ---- shared fit plumbing ----
 
-def _covariance(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Gauss-Newton parameter covariance s^2 (J^T J)^+ at one parameter point.
+def _covariance(jac: np.ndarray, residuals: np.ndarray, units) -> np.ndarray:
+    """Gauss-Newton parameter covariance s^2 (J^T J)^+ at one parameter point,
+    from a fit's normalized units to trace units: parameter k scales by units[k].
 
-    Raises FitDivergenceError when it is not finite: at extreme value scales
-    J^T J over- or underflows in raw units and its pseudo-inverse is NaN.
+    FitDivergenceError when it is not finite: a span or value scale whose square overflows.
     """
     dof = max(residuals.size - jac.shape[1], 1)
     s2 = float(residuals @ residuals) / dof
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cov = s2 * np.linalg.pinv(jac.T @ jac)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = s2 * np.linalg.pinv(jac.T @ jac) * np.outer(units, units)
     if not np.isfinite(cov).all():
-        raise FitDivergenceError(
-            "fit covariance is not finite: J^T J over- or underflows at this value scale"
-        )
+        raise FitDivergenceError("fit covariance is not finite in trace units")
     return cov
+
+
+def _magnitude(values) -> float:
+    """Largest magnitude in ``values``, a fit's unit of value (1 if all are 0)."""
+    return float(np.max(np.abs(values))) or 1.0
 
 
 def _fit_payload(fit) -> dict:
@@ -221,18 +297,18 @@ def rate_populations(rates, times, p0) -> np.ndarray:
     The cascade's rate matrix is upper triangular, so the solution is closed
     form: P_f decays at b = gamma_fe + gamma_fg, P_e decays at a = gamma_eg
     and is fed at gamma_fe P_f through the divided difference
-    D = (e^{-a t} - e^{-b t}) / (b - a) = t e^{-min(a,b) t} exprel(-|a - b| t),
-    which is exact at a = b and never overflows; P_g holds the rest of the
-    conserved total.
+    D = (e^{-a t} - e^{-b t}) / (b - a) = t e^{-min(a,b) t} expm1(x) / x with
+    x = -|a - b| t (1 at x = 0), which is exact at a = b and never overflows;
+    P_g holds the rest of the conserved total.
     """
-    from scipy.special import exprel
     noise = md.NoiseModel(gamma_eg=rates[0], gamma_fe=rates[1], gamma_fg=rates[2])
     a = noise.gamma_eg
     b = noise.gamma_fe + noise.gamma_fg
     t = np.asarray(times, dtype=float) - times[0]
     p0 = np.asarray(p0, dtype=float)
     p_f = p0[2] * np.exp(-b * t)
-    feed = t * np.exp(-min(a, b) * t) * exprel(-abs(a - b) * t)
+    x = -abs(a - b) * t
+    feed = t * np.exp(-min(a, b) * t) * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x < 0)
     p_e = p0[1] * np.exp(-a * t) + noise.gamma_fe * p0[2] * feed
     return np.stack([p0.sum() - p_e - p_f, p_e, p_f])
 
@@ -242,35 +318,41 @@ def fit_rate_equation(trace_g: Trace, trace_e: Trace, trace_f: Trace) -> RateFit
 
     The initial populations are read off the first sample; the three rates
     are bounded below by zero, so the negligible upward transitions stay
-    out of the model. Covariance order: gamma_eg, gamma_fe, gamma_fg.
+    out of the model. The search runs in rates per span. Covariance order:
+    gamma_eg, gamma_fe, gamma_fg.
     """
     if not (
         np.array_equal(trace_g.times, trace_e.times)
         and np.array_equal(trace_g.times, trace_f.times)
     ):
         raise DimensionMismatchError("population traces must share one time axis")
-    times = trace_g.times
+    span = trace_g.span
+    tau = (trace_g.times - trace_g.times[0]) / span
     data = np.stack([trace_g.values, trace_e.values, trace_f.values])
+    scale = _magnitude(data)
+    data = data / scale
     p0 = data[:, 0]
 
     def residuals(x):
-        return (rate_populations(x, times, p0) - data).reshape(-1)
+        return (rate_populations(x, tau, p0) - data).reshape(-1)
 
-    scale = 1.0 / max(times[-1] - times[0], 1e-12)
-    fit = least_squares(
-        residuals,
-        [scale, scale, 0.1 * scale],
-        bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
-        xtol=1e-12, ftol=1e-12, gtol=1e-12,
-    )
+    # start from the rate equations integrated over s by trapezoids, linear in the
+    # rate matrix R: P(1) - P(0) = R int P, P(1) - int P = R int s P (floor 0.1)
+    w = np.diff(tau) / 2.0
+    m0, m1 = ((v[:, 1:] + v[:, :-1]) @ w for v in (data, tau * data))
+    design = np.vstack([[[m[1], 0.0, m[2]], [-m[1], m[2], 0.0], [0.0, -m[2], -m[2]]]
+                        for m in (m0, m1)])
+    moments = np.concatenate([data[:, -1] - data[:, 0], data[:, -1] - m0])
+    start = np.maximum(np.linalg.lstsq(design, moments, rcond=None)[0], 0.1)
+    fit = least_squares(residuals, start, [0.0] * 3, [np.inf] * 3)
     if not fit.success:
         raise FitDivergenceError(f"rate-equation fit did not converge: {fit.message}")
     return RateFit(
-        gamma_eg=float(fit.x[0]),
-        gamma_fe=float(fit.x[1]),
-        gamma_fg=float(fit.x[2]),
-        residual_rms=float(np.sqrt(np.mean(fit.fun**2))),
-        covariance=_covariance(fit.jac, fit.fun),
+        gamma_eg=float(fit.x[0] / span),
+        gamma_fe=float(fit.x[1] / span),
+        gamma_fg=float(fit.x[2] / span),
+        residual_rms=scale * float(np.sqrt(np.mean(fit.fun**2))),
+        covariance=_covariance(fit.jac, fit.fun, np.full(3, 1.0 / span)),
     )
 
 
@@ -310,12 +392,15 @@ def _fit_damped_tones(trace: Trace, freqs):
 
     Only r and the f_k are searched, in units of the trace span, starting
     from ``freqs`` and one e-fold per span; at every step the offset and the
-    quadratures (A cos phi, -A sin phi) are the linear least-squares solution.
-    Returns (y0, r, amplitudes, frequencies, phases), t from the first sample.
+    quadratures (A cos phi, -A sin phi) of the values over their largest
+    magnitude are the linear least-squares solution. Returns (y0, r, amplitudes,
+    frequencies, phases, residual rms, covariance) in trace units, t from the first
+    sample, tones by increasing frequency; covariance order y0, r, (A, f, phi)_k.
     """
     span = trace.span
     tau = (trace.times - trace.times[0]) / span
-    y = trace.values
+    scale = _magnitude(trace.values)
+    y = trace.values / scale
     n = len(freqs)
     nyquist = 0.5 * span / float(np.mean(np.diff(trace.times)))
 
@@ -331,30 +416,28 @@ def _fit_damped_tones(trace: Trace, freqs):
     fit = least_squares(
         residuals,
         np.concatenate([[1.0], np.clip(np.asarray(freqs) * span, 0.0, nyquist)]),
-        bounds=([0.0] * (n + 1), [np.inf] + [nyquist] * n),
+        [0.0] * (n + 1), [np.inf] + [nyquist] * n,
     )
     if not fit.success:
         raise FitDivergenceError(f"damped-sinusoid fit did not converge: {fit.message}")
+    rate, freqs = fit.x[0], fit.x[1:]
     coef = np.linalg.lstsq(basis(fit.x), y, rcond=None)[0]
     c, s = coef[1 : n + 1], coef[n + 1 :]
-    return float(coef[0]), fit.x[0] / span, np.hypot(c, s), fit.x[1:] / span, np.arctan2(-s, c)
+    keep = np.argsort(freqs, kind="stable")
+    amps, freqs, phases = np.hypot(c, s)[keep], freqs[keep], np.arctan2(-s, c)[keep]
 
-
-def _tone_stats(trace: Trace, y0, rate, amps, freqs, phases):
-    """Residual rms and covariance of the damped-tone model at these parameters.
-
-    Covariance order: y0, r, then A_k, f_k, phi_k for each tone.
-    """
-    t = trace.times - trace.times[0]
-    decay = np.exp(-rate * t)[:, None]
-    arg = TWO_PI * np.outer(t, freqs) + phases
+    decay = np.exp(-rate * tau)[:, None]
+    arg = TWO_PI * np.outer(tau, freqs) + phases
     cos, sin = decay * np.cos(arg), decay * np.sin(arg)
     tones = cos @ amps
-    residual = y0 + tones - trace.values
-    cols = [np.ones_like(t), -t * tones]
+    residual = coef[0] + tones - y
+    cols = [np.ones_like(tau), -tau * tones]
     for k, a in enumerate(amps):
-        cols += [cos[:, k], -TWO_PI * a * t * sin[:, k], -a * sin[:, k]]
-    return float(np.sqrt(np.mean(residual**2))), _covariance(np.column_stack(cols), residual)
+        cols += [cos[:, k], -TWO_PI * a * tau * sin[:, k], -a * sin[:, k]]
+    cov = _covariance(np.column_stack(cols), residual,
+                      [scale, 1.0 / span] + [scale, 1.0 / span, 1.0] * n)
+    rms = scale * float(np.sqrt(np.mean(residual**2)))
+    return scale * float(coef[0]), rate / span, scale * amps, freqs / span, phases, rms, cov
 
 
 # ---- Ramsey fit ----
@@ -404,11 +487,9 @@ def fit_ramsey(trace: Trace) -> RamseyFit:
             f"trace spans {trace.span * freqs.min():.2f} periods of the slower tone; "
             "need at least 2"
         )
-    y0, rate, amps, freqs, phases = _fit_damped_tones(trace, freqs)
-    keep = np.argsort(freqs, kind="stable")
-    rms, cov = _tone_stats(trace, y0, rate, amps[keep], freqs[keep], phases[keep])
+    y0, rate, amps, freqs, phases, rms, cov = _fit_damped_tones(trace, freqs)
     (a1, a2), (f1, f2), (p1, p2) = (
-        np.append(v[keep], [0.0] * (2 - keep.size)) for v in (amps, freqs, phases)
+        np.append(v, [0.0] * (2 - v.size)) for v in (amps, freqs, phases)
     )
     return RamseyFit(
         t2_star=float(1.0 / rate) if rate > 0 else math.inf,
@@ -456,8 +537,7 @@ def fit_rabi(trace: Trace) -> RabiFit:
             f"trace spans {trace.span * freqs[0]:.2f} oscillation periods; "
             "need at least 1.5"
         )
-    y0, rate, amps, freqs, phases = _fit_damped_tones(trace, freqs)
-    rms, cov = _tone_stats(trace, y0, rate, amps, freqs, phases)
+    y0, rate, amps, freqs, phases, rms, cov = _fit_damped_tones(trace, freqs)
     order, scale = [0, 2, 3, 4, 1], np.array([1.0, 1.0, TWO_PI, 1.0, 1.0])
     return RabiFit(
         omega_r=float(TWO_PI * freqs[0]),
@@ -492,6 +572,7 @@ def chevron_omega(offsets, center: float, g: float):
 def fit_chevron(points) -> ChevronFit:
     """Fit the Rabi-frequency hyperbola over drive-frequency offsets.
 
+    The search runs in units of the largest offset or frequency magnitude.
     Covariance order: center, g.
     """
     points = list(points)
@@ -501,21 +582,20 @@ def fit_chevron(points) -> ChevronFit:
     omegas = np.array([p.omega_r for p in points])
     if offsets.min() >= 0.0 or offsets.max() <= 0.0:
         raise FitDivergenceError("chevron points must span both detuning signs")
+    unit = _magnitude(np.append(offsets, omegas))
+    offsets, omegas = offsets / unit, omegas / unit
     center0 = float(offsets[np.argmin(omegas)])
     g0 = float(omegas.min()) / 2.0
 
     def residuals(x):
         return chevron_omega(offsets, x[0], x[1]) - omegas
 
-    fit = least_squares(
-        residuals, [center0, max(g0, 1e-3)],
-        bounds=([-np.inf, 0.0], [np.inf, np.inf]),
-    )
+    fit = least_squares(residuals, [center0, max(g0, 1e-3)], [-np.inf, 0.0], [np.inf] * 2)
     if not fit.success:
         raise FitDivergenceError(f"chevron fit did not converge: {fit.message}")
     return ChevronFit(
-        center=float(fit.x[0]),
-        g=float(fit.x[1]),
-        residual_rms=float(np.sqrt(np.mean(fit.fun**2))),
-        covariance=_covariance(fit.jac, fit.fun),
+        center=float(fit.x[0] * unit),
+        g=float(fit.x[1] * unit),
+        residual_rms=unit * float(np.sqrt(np.mean(fit.fun**2))),
+        covariance=_covariance(fit.jac, fit.fun, [unit, unit]),
     )

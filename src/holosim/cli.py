@@ -76,7 +76,7 @@ from .calibration import (
     fit_rate_equation,
     read_csv_columns,
 )
-from .errors import ConfigError, HolosimError, IoError, write_json
+from .errors import ConfigError, HolosimError, IoError, OutOfRangeError, write_json
 from .evolution import schedule_unitary
 from .holonomic import (
     CAVITY_GATES,
@@ -498,6 +498,20 @@ def _run_cavity(cfg, ctx: RunContext):
             "cavity.g_total_mhz",
         )
     g_total = None if g_total_mhz is None else TWO_PI * 1e6 * g_total_mhz
+    if gate is not None:
+        # the loop must fit its ramps: a small theta's default coupling, or a
+        # large g_total, fails synthesis after the manifest is written
+        try:
+            sw.cavity_gate_schedule(*gate, g_total, ctx.device or md.paper_device())
+        except OutOfRangeError as exc:
+            if g_total is None:
+                raise ConfigError(
+                    f"{gate[0]!r} is too small for the default coupling g1 / sin(theta / 2):"
+                    " the loop cannot fit its ramps; give cavity.g_total_mhz",
+                    "cavity.gate.theta",
+                ) from exc
+            raise ConfigError(f"{g_total_mhz!r} is too large: the loop cannot fit its ramps",
+                              "cavity.g_total_mhz") from exc
     steps = _bounded_int(block, "steps", "cavity", sw.PIPELINE_STEPS, 4, MAX_STEPS)
 
     result = sw.cavity_pipeline(

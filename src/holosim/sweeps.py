@@ -47,6 +47,7 @@ from .holonomic import (
     target_u2,
 )
 from .operators import process_basis_gf, qubit_pauli_basis
+from .pulses import GateSchedule
 
 TWO_PI = 2.0 * math.pi
 
@@ -306,6 +307,23 @@ class CavityPipelineResult:
         })
 
 
+def cavity_gate_schedule(theta: float, phi: float, g_total: float | None,
+                         device: md.DeviceTable) -> GateSchedule:
+    """The gamma = pi loop schedule of the cavity gate (theta, phi).
+
+    Without ``g_total`` the two-photon tone sits at the device's calibrated
+    amplitude: g_total = g1 / sin(theta / 2). Raises OutOfRangeError when
+    that coupling is undefined (theta = 0) or, as synthesize_cavity_gate
+    checks, too large for the loop to fit its ramps.
+    """
+    if g_total is None:
+        s = math.sin(theta / 2.0)
+        if s < 1e-9:
+            raise OutOfRangeError("theta = 0 leaves the default coupling undefined; pass g_total")
+        g_total = device.g1 / s
+    return synthesize_cavity_gate(theta, math.pi, phi, g_total)
+
+
 def cavity_pipeline(
     gate: tuple[float, float] | None,
     include_decoherence: bool = False,
@@ -340,15 +358,7 @@ def cavity_pipeline(
         label = "identity"
     else:
         theta, phi = float(gate[0]), float(gate[1])
-        if g_total is None:
-            s = math.sin(theta / 2.0)
-            if s < 1e-9:
-                raise OutOfRangeError(
-                    "theta = 0 leaves the default coupling undefined; pass g_total"
-                )
-            g_total = device.g1 / s
-        schedule = synthesize_cavity_gate(theta, math.pi, phi, g_total)
-        sup = leg(schedule, qn_gate) @ sup
+        sup = leg(cavity_gate_schedule(theta, phi, g_total, device), qn_gate) @ sup
         target = target_u2(theta, phi)
         label = f"u2(theta={theta:.6g},phi={phi:.6g})"
     sup = _decode_from_encode(enc) @ sup

@@ -431,26 +431,104 @@ class TestRabi:
         assert np.asarray(payload["covariance"]).shape == (5, 5)
 
 
+class TestLeastSquares:
+    """The fits' bounded Levenberg-Marquardt solver on problems with known optima."""
+
+    def test_linear_problem_solved_to_rounding(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 3))
+        b = a @ np.array([0.7, -1.3, 2.1])
+        fit = cal.least_squares(lambda x: a @ x - b, [1.0, 1.0, 1.0], [-np.inf] * 3,
+                                [np.inf] * 3)
+        assert fit.success
+        assert np.max(np.abs(fit.x - np.linalg.lstsq(a, b, rcond=None)[0])) < 1e-14
+        # with a residual left at the optimum, the forward-difference
+        # Jacobian (1e-8 relative) sets the limit, not the stopping rules
+        b = b + rng.normal(size=20)
+        fit = cal.least_squares(lambda x: a @ x - b, [1.0, 1.0, 1.0], [-np.inf] * 3,
+                                [np.inf] * 3)
+        assert np.max(np.abs(fit.x - np.linalg.lstsq(a, b, rcond=None)[0])) < 1e-7
+        assert np.max(np.abs(fit.jac - a)) < 1e-6
+
+    def test_optimum_past_a_bound_ends_on_the_bound(self):
+        target = np.array([-1.0, 5.0, 0.25])
+        fit = cal.least_squares(lambda x: x - target, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                                [np.inf, 3.0, 1.0])
+        assert fit.success
+        assert fit.x[0] == 0.0 and fit.x[1] == 3.0
+        # the free parameter stops once a step gains less than 1e-14 of the
+        # cost, which the residuals held at the bounds dominate
+        assert abs(fit.x[2] - 0.25) < 1e-6
+
+    def test_iterates_do_not_depend_on_the_parameter_scale(self):
+        # a decay rate and an amplitude, each searched as x / scale
+        t = np.linspace(0.0, 3.0, 25)
+        y = 1.7 * np.exp(-0.8 * t)
+        runs = []
+        for scale in (1e-30, 1.0, 1e30):
+            seen = []
+
+            def residuals(x, scale=scale, seen=seen):
+                seen.append(x / scale)
+                return x[1] / scale * np.exp(-x[0] / scale * t) - y
+
+            fit = cal.least_squares(residuals, [0.3 * scale, 1.0 * scale], [0.0, 0.0],
+                                    [np.inf, np.inf])
+            runs.append((np.array(seen), fit.x / scale, fit.nfev))
+        for seen, x, nfev in runs:
+            assert nfev == runs[0][2]
+            # x / scale rounds differently at each scale, and the difference
+            # quotients amplify that 1e8-fold
+            np.testing.assert_allclose(seen, runs[0][0], rtol=1e-8, atol=0.0)
+            np.testing.assert_allclose(x, [0.8, 1.7], rtol=1e-14)
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(FitDivergenceError):
+            cal.least_squares(lambda x: np.full(5, np.nan), [1.0], [0.0], [np.inf])
+        # a Jacobian column through a NaN
+        with pytest.raises(FitDivergenceError):
+            cal.least_squares(lambda x: np.full(5, np.nan if x[0] > 1.0 else x[0]), [1.0],
+                              [0.0], [np.inf])
+
+    def test_nfev_counts_every_evaluation(self):
+        calls = []
+
+        def residuals(x):
+            calls.append(x)
+            return np.array([x[0] - 2.0, x[1] * x[0] - 1.0, x[1] - 0.5])
+
+        fit = cal.least_squares(residuals, [1.0, 1.0], [0.0, 0.0], [np.inf, np.inf])
+        assert fit.success and fit.nfev == len(calls)
+        # the start point, and a 2-column Jacobian at it and at each accepted step
+        assert fit.nfev >= 3
+
+    def test_a_search_that_never_settles_reports_failure(self):
+        # e^{-x} has no minimizer: every Gauss-Newton step is +1 and lowers
+        # the cost by 86%, so neither stopping rule ever holds
+        fit = cal.least_squares(lambda x: np.exp(-x), [1.0], [0.0], [np.inf])
+        assert not fit.success
+        assert "no convergence" in fit.message
+        assert fit.x[0] > 100.0
+
+
 class TestValueScale:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the rate and Rabi fits stop on absolute tolerances in raw units: at "
-        "a value scale of 1e-3 they are 1e-3 and 1e-4 off, at 1e-6 the rate fit "
-        "returns its start point (ROADMAP item 6)",
-    )
-    def test_fits_do_not_depend_on_the_value_scale(self):
-        # exact data over a 1 us span: rates 1, 2, 0 per span and a 5-period tone
-        span = 1e-6
+    @pytest.mark.parametrize("span", [1e-50, 1e-6, 1.0, 1e50])
+    def test_fits_do_not_depend_on_the_value_scale(self, span):
+        # exact data: rates 1, 2, 0 per span and a 5-period tone. The fits run
+        # in normalized units, so neither the span nor the value scale may
+        # move them, and no step may over- or underflow (warnings are errors)
         times = np.linspace(0.0, 1.0, 30) * span
         rates = np.array([1.0, 2.0, 0.0]) / span
         tone = 0.5 + 0.4 * np.cos(TWO_PI * 5.0 * np.linspace(0.0, 1.0, 30))
         pops = cal.rate_populations(rates, times, np.array([0.0, 0.0, 1.0]))
-        for scale in (1.0, 1e-3, 1e-6):
-            fit = cal.fit_rate_equation(*(cal.Trace(times, scale * p) for p in pops))
+        for scale in (1e-100, 1e-6, 1.0, 1e50, 1e100):
+            with warnings.catch_warnings(action="error"):
+                fit = cal.fit_rate_equation(*(cal.Trace(times, scale * p) for p in pops))
+                rabi = cal.fit_rabi(cal.Trace(times, scale * tone))
             found = np.array([fit.gamma_eg, fit.gamma_fe, fit.gamma_fg])
-            assert np.max(np.abs(found - rates)) * span < 1e-6
-            rabi = cal.fit_rabi(cal.Trace(times, scale * tone))
-            assert abs(rabi.omega_r * span / TWO_PI - 5.0) < 1e-6
+            assert np.max(np.abs(found - rates)) * span <= 1e-9
+            assert abs(rabi.omega_r * span / TWO_PI - 5.0) <= 1e-9
+            assert np.isfinite(fit.covariance).all() and np.isfinite(rabi.covariance).all()
 
 
 class TestChevron:

@@ -302,6 +302,10 @@ class TestConfigValidation:
         ({"gate": {"theta": 4.0}}, "cavity.gate.theta"),
         ({"gate": {"theta": -0.5}}, "cavity.gate.theta"),
         ({"gate": {"theta": 1.0, "phi": 1e300}}, "cavity.gate.phi"),
+        ({"gate": {"theta": 0.0}}, "cavity.gate.theta"),
+        ({"gate": {"theta": 1e-8}}, "cavity.gate.theta"),
+        ({"gate": {"theta": 0.009}}, "cavity.gate.theta"),
+        ({"gate": {"theta": 0.5}, "g_total_mhz": 500.0}, "cavity.g_total_mhz"),
     ])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, block, key):
         # unchecked, a NaN coupling crashes the default-coupling arithmetic
@@ -993,6 +997,16 @@ class TestCavityCommand:
         code = cli.main(["cavity", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "cavity.g_total_mhz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [{"gate": {"theta": 0.011}},
+                                       {"gate": {"theta": 0.0}, "g_total_mhz": 5.0}])
+    def test_small_raw_angles_whose_loop_fits_its_ramps_run(self, tmp_path, block):
+        # the parse check is synthesize_cavity_gate's own: theta = 0.009 at the
+        # default coupling is refused (exit 2), 0.011 and a given coupling run
+        path = write_config(tmp_path, {"schema_version": 1, "cavity": dict(block, steps=64)})
+        run_ok("cavity", path, tmp_path / "out")
+        result = json.loads((tmp_path / "out" / "cavity.json").read_text())
+        assert 0.0 <= result["fidelity_att"] <= 1.0 + 1e-9
 
     def test_raw_angle_gate_and_identity(self, tmp_path):
         cfg = {

@@ -4,9 +4,10 @@ Repository-level contracts that no module test covers.
 The README's library quick start runs as written, the benchmark tracer in
 perfbench/ still finds every from-import wrap point it expects, so renaming
 a traced function fails here rather than in a traced run, the fits still
-call scipy through the module attributes the tracer counts, no package
-module keeps an import it never uses or a private helper nothing calls, and
-importing the CLI (or rejecting a bad config with it) loads no scipy.
+call their least-squares solvers through the module attributes the tracer
+counts, no package module keeps an import it never uses or a private helper
+nothing calls, importing the CLI (or rejecting a bad config with it) loads
+no scipy, and neither does a calibrate run of any kind.
 """
 
 import ast
@@ -55,8 +56,9 @@ def test_benchmark_tracer_finds_every_wrap_point():
 
 def test_fits_call_scipy_through_the_traced_module_attributes(monkeypatch):
     # perfbench/trace.py counts least-squares evaluations by wrapping these
-    # two attributes; a fit that bound scipy's function directly would leave
-    # its counter silent
+    # two attributes: benchmarking.least_squares forwards to scipy's solver,
+    # calibration.least_squares is the calibration fits' own numpy solver. A
+    # fit that bound either function directly would leave its counter silent
     m = np.arange(1, 21)
     means = 0.45 * 0.97**m + 0.5
     times = np.linspace(0.0, 2e-6, 80)
@@ -113,6 +115,53 @@ def test_cold_import_and_rejected_configs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, check=True)
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {"import": [], "--version": [0, []], "gate": [2, []], "rb": [2, []]}
+
+
+CALIBRATE_ALL = """
+import json, runpy, sys
+
+def calibrate(config):
+    sys.argv = ["holosim", "calibrate", "--config", config, "--out", config + ".out"]
+    try:
+        runpy.run_module("holosim.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+codes = {config: calibrate(config) for config in sys.argv[1:]}
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_calibrate_runs_every_kind_without_scipy(tmp_path):
+    # the fits run on the package's own numpy solver, so a calibrate run of
+    # any kind, in a fresh interpreter, loads no scipy module
+    times = np.linspace(0.0, 60e-6, 200)
+    pops = calibration.rate_populations([3e4, 6e4, 5e3], times, [0.0, 0.0, 1.0])
+    tones = np.cos(2 * np.pi * 0.2e6 * times) + 0.6 * np.cos(2 * np.pi * 0.45e6 * times)
+    values = {"pop_g": pops[0], "pop_e": pops[1], "pop_f": pops[2],
+              "ramsey": 0.5 + 0.2 * np.exp(-times / 30e-6) * tones,
+              "rabi": 0.5 + 0.4 * np.cos(2 * np.pi * 0.3e6 * times)}
+    for name, v in values.items():
+        calibration.Trace(times, v).to_csv(tmp_path / f"{name}.csv")
+    offsets = np.linspace(-3e6, 3e6, 11)
+    (tmp_path / "points.csv").write_text("offset_rad_s,omega_r_rad_s\n" + "".join(
+        f"{float(o)!r},{float(calibration.chevron_omega(o, 2e5, 5e5))!r}\n" for o in offsets))
+    blocks = {"rate_equation": {"trace_g": "pop_g.csv", "trace_e": "pop_e.csv",
+                                "trace_f": "pop_f.csv"},
+              "ramsey": {"trace": "ramsey.csv"}, "rabi": {"trace": "rabi.csv"},
+              "chevron": {"points": "points.csv"}}
+    for kind, block in blocks.items():
+        cfg = {"schema_version": 1, "calibrate": dict(block, kind=kind)}
+        (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
+    configs = [f"{kind}.json" for kind in blocks]
+    done = subprocess.run([sys.executable, "-c", CALIBRATE_ALL, *configs], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == {config: 0 for config in configs}
+    assert scipy_modules == []
+    fit = json.loads((tmp_path / "chevron.json.out" / "fit.json").read_text())
+    assert abs(fit["g"] / 5e5 - 1.0) < 1e-12
 
 
 def test_every_imported_name_is_used():
