@@ -210,7 +210,7 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
     try:
         with open(path) as fh:
             lines = [(n, text) for n, ln in enumerate(fh, 1) if (text := ln.strip())]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes not UTF-8, a NUL in the path
         raise IoError(f"cannot read {path}: {exc}") from exc
     expected = ",".join(header)
     if not lines:

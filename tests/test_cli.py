@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import holosim
 from holosim import benchmarking as bm
 from holosim import cli
+from holosim import sweeps
 from holosim import tomography as tm
 from holosim.calibration import Trace, chevron_omega
 from holosim.errors import ConfigError, IoError
@@ -1330,9 +1331,11 @@ class TestCalibrateNumericFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=extreme_calibrate_cases())
-    # values near 1e-164: pinv(J^T J) overflows in raw units, so the
-    # covariance is not finite and the run must exit 1, not write NaN into
-    # fit.json. None of the 60 derandomized draws reaches that path
+    # values near 1e-164: pinv(J^T J) overflowed in raw units, the
+    # covariance was not finite and the run exited 1. The fits run in
+    # normalized units now, so it exits 0 with the generating rates and a
+    # finite covariance; either way no NaN may reach fit.json. None of the
+    # 60 derandomized draws reaches that scale
     @example(case=_extreme_case("rate_equation", 0, 8, 8, -1.0, -164, -4.0, False))
     def test_extreme_scales_exit_cleanly(self, case):
         code, err, native, fit = _calibrate_exit(*case)
@@ -1414,3 +1417,230 @@ class TestMainEntry:
         record = json.loads((out / "record.json").read_text())
         assert manifest["seed"] == 5
         assert record["seed"] == 5
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema_version": 1, "seed": ' + "9" * 5000 + ', "gate": {"name": "X_pi"}}',
+    '{"schema_version": 1, "gate": {"name": "X_pi", "steps": ' + "1" * 5000 + "}}",
+    '{"schema_version": 1, "gate": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    # a NUL byte in a data path: open() raises ValueError, not OSError
+    '{"schema_version": 1, "calibrate": {"kind": "rabi", "trace": "a\\u0000b"}}',
+], ids=["5000-digit seed", "5000-digit steps", "200000-deep arrays", "NUL in trace path"])
+def test_unreadable_input_exits_two_without_traceback(tmp_path, capsys, text):
+    # each ended in a traceback: a ValueError past the int digit limit, a
+    # RecursionError in the JSON decoder, and a ValueError from open()
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    sub = "calibrate" if "calibrate" in text else "gate"
+    code = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ---- refusals generated from cli.SCHEMA ----
+
+#: valid configs that together hold every leaf key of cli.SCHEMA; a case
+#: edits one leaf in the first of them that holds it
+SCHEMA_BASES = [
+    ("gate", {"seed": 1, "device": "none", "error": {"epsilon": 0.0, "detuning_mhz": 0.0},
+              "gate": {"theta": 1.0, "gamma": 1.0, "phi": 0.5, "steps": 64,
+                       "envelope": {"sigma_ns": 15.0, "total_ns": 60.0}}}),
+    ("gate", {"gate": {"name": "H"}}),
+    ("qpt", {"device": "paper-device",
+             "qpt": {"gate": {"theta": 1.0, "gamma": 1.0, "phi": 0.5,
+                              "envelope": {"sigma_ns": 15.0, "total_ns": 60.0}},
+                     "shots": 100, "mle": True, "project": True, "steps": 64}}),
+    ("qpt", {"qpt": {"gate": {"name": "H"}}}),
+    ("rb", {"device": "paper-device",
+            "rb": {"lengths": [1, 2, 3], "k": 2, "interleaved": "H", "steps": 16}}),
+    ("rb", {"rb": {"m_max": 4}}),
+    ("sweep", {"sweep": {"family": "holonomic", "gate": "H", "steps": 16,
+                         "epsilon": {"min": -0.1, "max": 0.1, "count": 3},
+                         "detuning_mhz": {"min": -1.0, "max": 1.0, "count": 3}}}),
+    ("cavity", {"cavity": {"gate": "X_pi", "steps": 64}}),
+    ("cavity", {"cavity": {"gate": {"theta": 1.0, "phi": 0.5}, "g_total_mhz": 5.0}}),
+    ("calibrate", {"calibrate": {"kind": "rate_equation", "trace_g": "g.csv",
+                                 "trace_e": "e.csv", "trace_f": "f.csv"}}),
+    ("calibrate", {"calibrate": {"kind": "rabi", "trace": "t.csv", "detrend_degree": 1}}),
+    ("calibrate", {"calibrate": {"kind": "chevron", "points": "p.csv"}}),
+]
+
+#: stands for the JSON literal 1e400, which json.dumps cannot write
+LITERAL_1E400 = "<1e400>"
+#: stands for the key left out
+ABSENT = "<absent>"
+#: JSON types per schema kind, told apart by exact type: a bool is never an
+#: int or a number, whatever cli._KINDS says
+JSON_TYPES = {"int": (int,), "number": (int, float), "str": (str,), "bool": (bool,),
+              "dict": (dict,), "list": (list,)}
+#: values of every JSON type; each is a wrong type for the kinds it is not
+TYPED_VALUES = (True, 2, 2.0, "2", [2], {"x": 2})
+
+
+def schema_leaves(table, path=""):
+    """(key path, entry) of every leaf of a schema table: each key whose
+    value is not only a dict of further keys."""
+    for key, entry in table.items():
+        full = f"{path}.{key}" if path else key
+        if entry["kind"] != "dict":
+            yield full, entry
+        if "keys" in entry:
+            yield from schema_leaves(entry["keys"], full)
+
+
+def _step(entry, bound, direction):
+    """The value one step from ``bound`` in ``direction`` (+1 or -1)."""
+    if entry["kind"] == "number":
+        return math.nextafter(bound, direction * math.inf)
+    return bound + direction
+
+
+def _sized(entry, size):
+    """``size`` itself, or for a list entry a list of that many valid items,
+    as many of them distinct as the item bounds allow."""
+    if entry["kind"] != "list":
+        return size
+    lo, hi = entry["items"]["bounds"]
+    return [lo + i % (hi - lo + 1) for i in range(size)]
+
+
+def schema_faults(entry):
+    """Values ``entry`` refuses: a wrong type, null unless allowed, the key
+    left out if required, the non-finite and out-of-range numbers, an
+    unlisted choice, one step past each bound, and an otherwise valid list
+    holding one refused item."""
+    kinds = entry["kind"].split("|")
+    faults = [v for v in TYPED_VALUES if not any(type(v) in JSON_TYPES[k] for k in kinds)]
+    if not entry.get("null"):
+        faults.append(None)
+    if not entry.get("null") and "default" not in entry:
+        faults.append(ABSENT)
+    if entry["kind"] == "number":
+        faults += [math.nan, math.inf, -math.inf, LITERAL_1E400, 10**400]
+    if "choices" in entry:
+        faults.append("bogus" if entry["kind"] != "int" else max(entry["choices"]) + 1)
+    lo, hi = entry.get("bounds", (-math.inf, math.inf))
+    faults += [_sized(entry, _step(entry, bound, out))
+               for bound, out in ((lo, -1), (hi, +1)) if math.isfinite(bound)]
+    if "items" in entry:
+        faults += [[item] + _sized(entry, 3)[1:] for item in schema_faults(entry["items"])
+                   if item != ABSENT]
+    return faults
+
+
+def schema_admits(entry):
+    """Values at and one step inside each bound of ``entry``."""
+    lo, hi = entry.get("bounds", (-math.inf, math.inf))
+    return [_sized(entry, value) for bound, inward in ((lo, +1), (hi, -1)) if math.isfinite(bound)
+            for value in (bound, _step(entry, bound, inward))]
+
+
+def _base_holding(path):
+    """(subcommand, deep copy of the first SCHEMA_BASES config holding path)."""
+    for sub, body in SCHEMA_BASES:
+        node, keys = dict(body, schema_version=1), path.split(".")
+        for key in keys:
+            if not isinstance(node, dict) or key not in node:
+                break
+            node = node[key]
+        else:
+            return sub, json.loads(json.dumps(dict(body, schema_version=1)))
+    raise AssertionError(f"no SCHEMA_BASES config holds {path}")
+
+
+def _set_leaf(cfg, path, value):
+    *parents, key = path.split(".")
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    if value == ABSENT:
+        del node[key]
+    else:
+        node[key] = value
+    return cfg
+
+
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 16 else text[:13] + "..."
+
+
+def schema_dicts(table, path=""):
+    """(key path, first key) of every dict value of a schema table, "" for the
+    top level."""
+    yield path, next(iter(table))
+    for key, entry in table.items():
+        if "keys" in entry:
+            yield from schema_dicts(entry["keys"], f"{path}.{key}" if path else key)
+
+
+SCHEMA_LEAVES = list(schema_leaves(cli.SCHEMA))
+SCHEMA_FAULTS = [(path, fault) for path, entry in SCHEMA_LEAVES for fault in schema_faults(entry)]
+#: (path of an unknown key, path of a sibling leaf the base must hold)
+SCHEMA_UNKNOWN = [(f"{path}.zz" if path else "zz", f"{path}.{first}" if path else first)
+                  for path, first in schema_dicts(cli.SCHEMA)]
+SCHEMA_ADMITS = [(path, value) for path, entry in SCHEMA_LEAVES for value in schema_admits(entry)]
+
+
+def _no_propagation(monkeypatch):
+    def no_channel(*args, **kwargs):
+        raise AssertionError("a channel or propagator was built")
+
+    monkeypatch.setattr(bm, "schedule_channel", no_channel)
+    monkeypatch.setattr(tm, "schedule_channel", no_channel)
+    monkeypatch.setattr(cli, "schedule_unitary", no_channel)
+    monkeypatch.setattr(sweeps.ev, "schedule_unitary", no_channel)
+    monkeypatch.setattr(sweeps.ev, "schedule_channel", no_channel)
+
+
+class TestSchemaRefusals:
+    @pytest.mark.parametrize("path,fault", SCHEMA_FAULTS,
+                             ids=[f"{p}={_short(f)}" for p, f in SCHEMA_FAULTS])
+    def test_every_refused_value_exits_two_naming_its_key(
+        self, tmp_path, capsys, monkeypatch, path, fault
+    ):
+        _no_propagation(monkeypatch)
+        sub, cfg = _base_holding(path)
+        text = json.dumps(_set_leaf(cfg, path, fault)).replace(f'"{LITERAL_1E400}"', "1e400")
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            cli.run(sub, str(config), str(tmp_path / "out"))
+        assert info.value.path == path
+        code = cli.main([sub, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path,sibling", SCHEMA_UNKNOWN, ids=[p for p, _ in SCHEMA_UNKNOWN])
+    def test_an_unknown_key_in_every_block_exits_two_naming_it(
+        self, tmp_path, monkeypatch, path, sibling
+    ):
+        _no_propagation(monkeypatch)
+        sub, cfg = _base_holding(sibling)
+        config = write_config(tmp_path, _set_leaf(cfg, path, 1))
+        with pytest.raises(ConfigError) as info:
+            cli.run(sub, str(config), str(tmp_path / "out"))
+        assert info.value.path == path
+
+    @pytest.mark.parametrize("path,value", SCHEMA_ADMITS,
+                             ids=[f"{p}={_short(v)}" for p, v in SCHEMA_ADMITS])
+    def test_values_at_and_inside_each_bound_pass_the_walk(self, path, value):
+        sub, cfg = _base_holding(path)
+        _set_leaf(cfg, path, value)
+        table = {k: e for k, e in cli.SCHEMA.items() if k not in cli.SUBCOMMANDS or k == sub}
+        cli._walk(cfg, table, "")
+
+    @pytest.mark.parametrize("sub,body", SCHEMA_BASES, ids=[s for s, _ in SCHEMA_BASES])
+    def test_every_base_config_passes_validation(self, tmp_path, monkeypatch, sub, body):
+        # a base with a fault of its own would name that key, not the edited one
+        _no_propagation(monkeypatch)
+        config = write_config(tmp_path, dict(body, schema_version=1))
+        # refused configs raise ConfigError; these reach the propagation
+        # stubs, or, for calibrate, the absent data files
+        with pytest.raises((AssertionError, IoError)):
+            cli.run(sub, str(config), str(tmp_path / "out"), threads=1)
+
+    def test_bases_hold_every_leaf(self):
+        for path, _ in SCHEMA_LEAVES:
+            _base_holding(path)

@@ -7,7 +7,8 @@ a traced function fails here rather than in a traced run, the fits still
 call their least-squares solvers through the module attributes the tracer
 counts, no package module keeps an import it never uses or a private helper
 nothing calls, importing the CLI (or rejecting a bad config with it) loads
-no scipy, and neither does a calibrate run of any kind.
+no scipy, neither does a calibrate run of any kind, and the README's config
+reference lists exactly the keys of the CLI's schema table.
 """
 
 import ast
@@ -40,6 +41,30 @@ def test_readme_quick_start_runs():
     assert infidelity < 1e-10
     assert 0.99 < fidelity <= 1.0
     assert 0.9 < trace <= 1.0
+
+
+def schema_paths(table, prefix=""):
+    """(key path, entry) of every key of a cli.SCHEMA table, nested ones too."""
+    for key, entry in table.items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path, entry
+        yield from schema_paths(entry.get("keys", {}), path)
+
+
+def test_readme_config_reference_matches_the_schema():
+    # the README's config reference has a row for every leaf key of
+    # cli.SCHEMA (each key not only a dict of further keys), and none for a
+    # key the schema lacks
+    from holosim import cli
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("\n| Key path |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    every = dict(schema_paths(cli.SCHEMA))
+    leaves = [path for path, entry in every.items() if entry["kind"] != "dict"]
+    assert [path for path in leaves if path not in rows] == []
+    assert [row for row in rows if row not in every] == []
+    assert len(rows) == len(set(rows))
 
 
 def test_benchmark_tracer_finds_every_wrap_point():
