@@ -152,7 +152,7 @@ SCHEMA = {
         "steps": {"kind": "int", "default": 512, "bounds": (4, MAX_STEPS)},
     }},
     "sweep": {"kind": "dict", "keys": {
-        "family": {"kind": "str", "choices": ("dynamic", "holonomic")},
+        "family": {"kind": "str", "choices": tuple(sorted(sw.FAMILY_GATES))},
         "gate": {"kind": "str"},
         "epsilon": {"kind": "dict", "default": {"min": -0.1, "max": 0.1, "count": 21},
                     "null": True, "keys": _AXIS_KEYS},
@@ -236,6 +236,15 @@ def _value(value, entry: dict, full: str):
     return value * entry["scale"] if "scale" in entry else value
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, refused past the interpreter's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"config holds an integer of {len(text.lstrip('-'))} digits, more "
+                          f"than the {sys.get_int_max_str_digits()} that are read") from None
+
+
 def _load_config(path):
     """Parsed JSON object plus the sha256 of the raw file bytes."""
     try:
@@ -244,9 +253,9 @@ def _load_config(path):
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw.decode("utf-8"))
-    # ValueError: bad UTF-8 or JSON, or an integer of more than 4300 digits;
-    # RecursionError: arrays or objects nested past the interpreter's limit
+        cfg = json.loads(raw.decode("utf-8"), parse_int=_json_int)
+    # ValueError: bad UTF-8 or JSON; RecursionError: arrays or objects nested
+    # past the interpreter's limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -387,7 +396,7 @@ def _axis(spec: dict, path: str) -> np.ndarray:
 
 def _run_sweep(raw, block, ctx: RunContext):
     family, gate = block["family"], block["gate"]
-    valid = sorted(QUBIT_GATES) if family == "holonomic" else ["H", "T"]
+    valid = sw.FAMILY_GATES[family]
     if gate not in valid:
         raise ConfigError(f"unknown gate {gate!r} for family {family!r} "
                           f"(valid: {', '.join(valid)})", "sweep.gate")
@@ -587,12 +596,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(**vars(args))
-    except (ConfigError, IoError) as exc:
-        print(f"holosim: error: {exc}", file=sys.stderr)
-        return 2
     except HolosimError as exc:
-        print(f"holosim: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        refused = isinstance(exc, (ConfigError, IoError))
+        # escaped, so a control character in a path or a value reaches stderr as text
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"holosim: {'error' if refused else type(exc).__name__}: {text}", file=sys.stderr)
+        return 2 if refused else 1
 
 
 if __name__ == "__main__":

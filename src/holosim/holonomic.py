@@ -138,24 +138,9 @@ def synthesis_infidelity(u_sim: np.ndarray, params: HolonomicParams) -> float:
     return unitary_infidelity(gf_block(u_sim), target_u1(params))
 
 
-# Effective cavity basis is ordered {|0g>, |1g>, |0f>}: the logical pair sits
-# at indices (0, 1) and the auxiliary |0f> at 2, unlike the qutrit's (g, f)
-# block at (0, 2) with |e> at 1. This permutation carries one layout into the
-# other (qutrit g -> |0g>, e -> |0f>, f -> |1g>).
-_CAVITY_FROM_QUTRIT = np.array(
-    [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-)
-
-
 def cavity_block(u_sim: np.ndarray) -> np.ndarray:
     """Logical {|0g>, |1g>} block of an effective-basis propagator."""
     return np.asarray(u_sim)[:2, :2]
-
-
-def cavity_loop_unitary(theta: float, gamma: float, phi: float = 0.0) -> np.ndarray:
-    """loop_unitary re-ordered to the effective cavity basis."""
-    u = loop_unitary(HolonomicParams(theta, gamma, phi))
-    return _CAVITY_FROM_QUTRIT @ u @ _CAVITY_FROM_QUTRIT.T
 
 
 def cavity_synthesis_infidelity(

@@ -67,6 +67,8 @@ _DYNAMIC = {
     "H": (dynamic_hadamard_schedule, HADAMARD),
     "T": (dynamic_t_schedule, T_GATE),
 }
+#: gate family -> the names of its gates, sorted
+FAMILY_GATES = {"holonomic": tuple(sorted(QUBIT_GATES)), "dynamic": tuple(sorted(_DYNAMIC))}
 
 
 def reference_gate(family: str, gate: str):
@@ -75,21 +77,17 @@ def reference_gate(family: str, gate: str):
     holonomic gates come from the named single-loop table; dynamic gates are
     the sequential pulse-train decompositions of H and T.
     """
+    if family not in FAMILY_GATES:
+        raise OutOfRangeError(f"unknown gate family {family!r}; use holonomic or dynamic")
+    if gate not in FAMILY_GATES[family]:
+        raise OutOfRangeError(
+            f"unknown {family} gate {gate!r}; choose from {list(FAMILY_GATES[family])}"
+        )
     if family == "holonomic":
-        if gate not in QUBIT_GATES:
-            raise OutOfRangeError(
-                f"unknown holonomic gate {gate!r}; choose from {sorted(QUBIT_GATES)}"
-            )
         params = QUBIT_GATES[gate]
         return synthesize_qubit_gate(params), target_u1(params)
-    if family == "dynamic":
-        if gate not in _DYNAMIC:
-            raise OutOfRangeError(
-                f"unknown dynamic gate {gate!r}; choose from {sorted(_DYNAMIC)}"
-            )
-        builder, target = _DYNAMIC[gate]
-        return builder(), target
-    raise OutOfRangeError(f"unknown gate family {family!r}; use holonomic or dynamic")
+    builder, target = _DYNAMIC[gate]
+    return builder(), target
 
 
 def reduced_process_fidelity(u_sim: np.ndarray, target: np.ndarray) -> float:
@@ -246,7 +244,6 @@ def crosstalk_sweep(
 # ---- cavity Fock-state pipeline ----
 
 ENCODE_PHASE = math.pi / 2.0
-DECODE_PHASE = -math.pi / 2.0
 
 _R2 = 1.0 / math.sqrt(2.0)
 #: tomography input states on the (g, f) qubit: poles plus two equators

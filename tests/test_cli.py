@@ -85,18 +85,6 @@ MINIMAL_BLOCKS = {
 
 
 class TestConfigValidation:
-    def test_missing_schema_version(self, tmp_path):
-        path = write_config(tmp_path, {"gate": {"name": "X_pi"}})
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "schema_version"
-
-    def test_unsupported_schema_version(self, tmp_path):
-        path = write_config(tmp_path, gate_config(schema_version=99))
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "schema_version"
-
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
@@ -113,22 +101,6 @@ class TestConfigValidation:
         with pytest.raises(IoError):
             cli.run("gate", str(tmp_path / "nope.json"), str(tmp_path / "out"))
 
-    def test_unknown_key_names_full_path(self, tmp_path):
-        cfg = qpt_config()
-        cfg["qpt"]["shotz"] = 5
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("qpt", str(path), str(tmp_path / "out"))
-        assert info.value.path == "qpt.shotz"
-
-    def test_unknown_gate_name(self, tmp_path):
-        cfg = gate_config()
-        cfg["gate"]["name"] = "CNOT"
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "gate.name"
-
     def test_name_and_angles_conflict(self, tmp_path):
         cfg = gate_config()
         cfg["gate"]["theta"] = 0.5
@@ -136,33 +108,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             cli.run("gate", str(path), str(tmp_path / "out"))
         assert info.value.path == "gate.theta"
-
-    def test_theta_domain_violation(self, tmp_path):
-        cfg = {"schema_version": 1, "gate": {"theta": 9.9, "gamma": 1.0}}
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "gate.theta"
-
-    def test_wrong_type_reports_kind(self, tmp_path):
-        cfg = gate_config(seed="eleven")
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "seed"
-        assert "expected int" in str(info.value)
-
-    def test_negative_seed(self, tmp_path):
-        path = write_config(tmp_path, gate_config(seed=-1))
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "seed"
-
-    def test_unknown_device_set(self, tmp_path):
-        path = write_config(tmp_path, gate_config(device="other-lab"))
-        with pytest.raises(ConfigError) as info:
-            cli.run("gate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "device"
 
     @pytest.mark.parametrize("subcommand,extra,key", [
         ("sweep", {"device": "bogus"}, "device"),
@@ -197,15 +142,9 @@ class TestConfigValidation:
                "error": {"epsilon": 0.0, "detuning_mhz": 0.0}, "sweep": block}
         run_ok("sweep", write_config(tmp_path, cfg), tmp_path / "out")
 
-    def test_sweep_family_and_gate_checked(self, tmp_path):
-        cfg = {"schema_version": 1, "sweep": {"family": "adiabatic", "gate": "H"}}
+    def test_sweep_gate_checked_for_its_family(self, tmp_path):
+        cfg = {"schema_version": 1, "sweep": {"family": "dynamic", "gate": "X_pi"}}
         path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("sweep", str(path), str(tmp_path / "out"))
-        assert info.value.path == "sweep.family"
-        cfg["sweep"]["family"] = "dynamic"
-        cfg["sweep"]["gate"] = "X_pi"
-        path = write_config(tmp_path, cfg, "config2.json")
         with pytest.raises(ConfigError) as info:
             cli.run("sweep", str(path), str(tmp_path / "out"))
         assert info.value.path == "sweep.gate"
@@ -231,88 +170,32 @@ class TestConfigValidation:
             cli.run("rb", str(path), str(tmp_path / "out"))
         assert info.value.path == "rb.lengths"
 
-    def test_rb_lengths_must_be_positive_ints(self, tmp_path):
-        cfg = {"schema_version": 1, "rb": {"lengths": [1, 0, 2]}}
+    def test_fewer_than_three_distinct_lengths_exit_two_before_any_channel(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # fit_rb failed after every channel was built
+        _no_propagation(monkeypatch)
+        key = "rb.lengths"
+        cfg = {"schema_version": 1, "device": "paper-device",
+               "rb": {"lengths": [1, 2, 2, 1], "k": 1}}
         path = write_config(tmp_path, cfg)
         with pytest.raises(ConfigError) as info:
             cli.run("rb", str(path), str(tmp_path / "out"))
-        assert info.value.path == "rb.lengths"
-
-    @pytest.mark.parametrize("subcommand,block", [
-        ("gate", {"name": "X_pi"}),
-        ("qpt", {"gate": {"name": "H"}}),
-        ("rb", {"m_max": 3, "k": 1}),
-        ("sweep", {"family": "holonomic", "gate": "H"}),
-        ("cavity", {"gate": "X_pi"}),
-    ])
-    def test_steps_above_ceiling_exit_two(self, tmp_path, capsys, subcommand, block):
-        cfg = {"schema_version": 1, subcommand: dict(block, steps=10**9)}
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run(subcommand, str(path), str(tmp_path / "out"))
-        assert info.value.path == f"{subcommand}.steps"
-        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"{subcommand}.steps" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand,block,shots,key", [
-        ("rb", {"m_max": 3, "k": cli.MAX_RB_K + 1}, None, "rb.k"),
-        ("rb", {"m_max": cli.MAX_RB_LENGTH + 1, "k": 1}, None, "rb.m_max"),
-        ("rb", {"lengths": [1, 2, cli.MAX_RB_LENGTH + 1], "k": 1}, None, "rb.lengths"),
-        ("rb", {"lengths": [1] * (cli.MAX_RB_LENGTH + 1), "k": 1}, None, "rb.lengths"),
-        ("qpt", {"gate": {"name": "H"}, "shots": cli.MAX_SHOTS + 1}, None, "qpt.shots"),
-        ("qpt", {"gate": {"name": "H"}, "shots": 300}, cli.MAX_SHOTS + 1, "--shots"),
-        # fewer than 3 distinct lengths: fit_rb failed after every channel was built
-        ("rb", {"lengths": [1, 2, 2, 1], "k": 1}, None, "rb.lengths"),
-        ("rb", {"m_max": 2, "k": 1}, None, "rb.m_max"),
-        # unbounded, numpy failed to allocate the grid (or refused its size)
-        ("sweep", {"family": "holonomic", "gate": "H",
-                   "epsilon": {"min": -0.1, "max": 0.1, "count": 10**7},
-                   "detuning_mhz": {"min": -1, "max": 1, "count": 10**7}},
-         None, "sweep.epsilon.count"),
-        ("sweep", {"family": "holonomic", "gate": "H",
-                   "detuning_mhz": {"min": -1, "max": 1, "count": 10**30}},
-         None, "sweep.detuning_mhz.count"),
-    ])
-    def test_counts_above_ceiling_exit_two_before_any_channel(
-        self, tmp_path, capsys, monkeypatch, subcommand, block, shots, key
-    ):
-        def no_channel(*args, **kwargs):
-            raise AssertionError("a channel was built for a rejected config")
-
-        monkeypatch.setattr(bm, "schedule_channel", no_channel)
-        monkeypatch.setattr(tm, "schedule_channel", no_channel)
-        cfg = {"schema_version": 1, subcommand: block}
-        if subcommand in cli.DEVICE_SUBCOMMANDS:
-            cfg["device"] = "paper-device"
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run(subcommand, str(path), str(tmp_path / "out"), shots=shots)
         assert info.value.path == key
-        argv = [subcommand, "--config", str(path), "--out", str(tmp_path / "o")]
-        code = cli.main(argv + ([] if shots is None else ["--shots", str(shots)]))
+        code = cli.main(["rb", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("block,key", [
-        ({"gate": "X_pi", "g_total_mhz": math.nan}, "cavity.g_total_mhz"),
-        ({"gate": {"theta": 1.0, "phi": math.nan}}, "cavity.gate.phi"),
-        ({"gate": {"theta": 1.0, "phi": math.inf}}, "cavity.gate.phi"),
-        ({"gate": {"theta": 1.0, "phi": 10**400}}, "cavity.gate.phi"),
-        ({"gate": {"theta": 4.0}}, "cavity.gate.theta"),
-        ({"gate": {"theta": -0.5}}, "cavity.gate.theta"),
-        ({"gate": {"theta": 1.0, "phi": 1e300}}, "cavity.gate.phi"),
         ({"gate": {"theta": 0.0}}, "cavity.gate.theta"),
         ({"gate": {"theta": 1e-8}}, "cavity.gate.theta"),
         ({"gate": {"theta": 0.009}}, "cavity.gate.theta"),
         ({"gate": {"theta": 0.5}, "g_total_mhz": 500.0}, "cavity.g_total_mhz"),
     ])
-    def test_non_finite_number_exits_two(self, tmp_path, capsys, block, key):
-        # unchecked, a NaN coupling crashes the default-coupling arithmetic
-        # and a non-finite phase surfaces as a misleading StepTooLargeError;
-        # theta outside [0, pi] failed with no key path (or blamed theta = 0),
-        # and |phi| > MAX_ANGLE ran although a gate block rejects it
+    def test_loop_that_cannot_fit_its_ramps_exits_two(self, tmp_path, capsys, block, key):
+        # a small theta at the default coupling, or a large coupling, failed
+        # synthesis after the manifest was written (theta = 0 with no key path)
         path = write_config(tmp_path, {"schema_version": 1, "cavity": block})
         with pytest.raises(ConfigError) as info:
             cli.run("cavity", str(path), str(tmp_path / "out"))
@@ -613,10 +496,7 @@ class TestRbCommand:
     def test_non_clifford_interleaved_gate_exits_two_before_any_channel(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_channel(*args, **kwargs):
-            raise AssertionError("a channel was built for a rejected config")
-
-        monkeypatch.setattr(bm, "schedule_channel", no_channel)
+        _no_propagation(monkeypatch)
         cfg = {
             "schema_version": 1,
             "device": "paper-device",
@@ -1100,13 +980,6 @@ class TestCalibrateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
-    def test_unknown_kind(self, tmp_path):
-        cfg = {"schema_version": 1, "calibrate": {"kind": "spectroscopy"}}
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError) as info:
-            cli.run("calibrate", str(path), str(tmp_path / "out"))
-        assert info.value.path == "calibrate.kind"
-
 
 #: defects a calibration CSV can carry; the first seven make it unreadable (exit 2)
 CSV_DEFECTS = ("empty", "header_only", "no_header", "wrong_header", "ragged",
@@ -1353,14 +1226,6 @@ class TestMainEntry:
         assert cli.main(["gate", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "gate_report.json").exists()
 
-    def test_main_config_error_exit_two(self, tmp_path, capsys):
-        cfg = gate_config()
-        cfg["gate"]["name"] = "CNOT"
-        path = write_config(tmp_path, cfg)
-        code = cli.main(["gate", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "gate.name" in capsys.readouterr().err
-
     def test_main_domain_error_exit_one(self, tmp_path, capsys):
         times = np.linspace(0.0, 1e-6, 9)
         values = 0.5 + 0.01 * times / times[-1]
@@ -1397,15 +1262,6 @@ class TestMainEntry:
         assert info.value.code == 0
         assert holosim.__version__ in capsys.readouterr().out
 
-    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
-        # it ended in a ValueError traceback from the sampled-shot generator
-        path = write_config(tmp_path, qpt_config(shots=40))
-        code = cli.main(["qpt", "--config", str(path), "--out", str(tmp_path / "o"),
-                         "--seed", "-3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--seed" in err and "Traceback" not in err
-
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, qpt_config(shots=40))
         out = tmp_path / "out"
@@ -1428,13 +1284,16 @@ class TestMainEntry:
 ], ids=["5000-digit seed", "5000-digit steps", "200000-deep arrays", "NUL in trace path"])
 def test_unreadable_input_exits_two_without_traceback(tmp_path, capsys, text):
     # each ended in a traceback: a ValueError past the int digit limit, a
-    # RecursionError in the JSON decoder, and a ValueError from open()
+    # RecursionError in the JSON decoder, and a ValueError from open(); the
+    # digit limit then spoke of an interpreter call, and the NUL reached
+    # stderr raw
     path = tmp_path / "config.json"
     path.write_text(text)
     sub = "calibrate" if "calibrate" in text else "gate"
     code = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err and "\x00" not in err
 
 
 # ---- refusals generated from cli.SCHEMA ----
@@ -1505,26 +1364,32 @@ def _sized(entry, size):
 
 
 def schema_faults(entry):
-    """Values ``entry`` refuses: a wrong type, null unless allowed, the key
-    left out if required, the non-finite and out-of-range numbers, an
-    unlisted choice, one step past each bound, and an otherwise valid list
-    holding one refused item."""
+    """(value, the words its refusal starts with) of each value ``entry``
+    refuses: a wrong type, null unless allowed, the key left out if
+    required, the non-finite and out-of-range numbers, an unlisted choice,
+    one step past each bound, and an otherwise valid list holding one
+    refused item."""
     kinds = entry["kind"].split("|")
-    faults = [v for v in TYPED_VALUES if not any(type(v) in JSON_TYPES[k] for k in kinds)]
+    expected = "expected " + " or ".join(kinds)
+    faults = [(v, expected) for v in TYPED_VALUES
+              if not any(type(v) in JSON_TYPES[k] for k in kinds)]
     if not entry.get("null"):
-        faults.append(None)
+        faults.append((None, "must not be null"))
     if not entry.get("null") and "default" not in entry:
-        faults.append(ABSENT)
+        faults.append((ABSENT, "missing required key"))
     if entry["kind"] == "number":
-        faults += [math.nan, math.inf, -math.inf, LITERAL_1E400, 10**400]
+        faults += [(v, "must be finite") for v in (math.nan, math.inf, -math.inf, LITERAL_1E400)]
+        faults.append((10**400, "out of the float range"))
     if "choices" in entry:
-        faults.append("bogus" if entry["kind"] != "int" else max(entry["choices"]) + 1)
+        bogus = "bogus" if entry["kind"] != "int" else max(entry["choices"]) + 1
+        faults.append((bogus, "unknown value"))
     lo, hi = entry.get("bounds", (-math.inf, math.inf))
-    faults += [_sized(entry, _step(entry, bound, out))
+    bounded = "length must be in [" if entry["kind"] == "list" else "must be in ["
+    faults += [(_sized(entry, _step(entry, bound, out)), bounded)
                for bound, out in ((lo, -1), (hi, +1)) if math.isfinite(bound)]
     if "items" in entry:
-        faults += [[item] + _sized(entry, 3)[1:] for item in schema_faults(entry["items"])
-                   if item != ABSENT]
+        faults += [([item] + _sized(entry, 3)[1:], words)
+                   for item, words in schema_faults(entry["items"]) if item != ABSENT]
     return faults
 
 
@@ -1575,7 +1440,14 @@ def schema_dicts(table, path=""):
 
 
 SCHEMA_LEAVES = list(schema_leaves(cli.SCHEMA))
-SCHEMA_FAULTS = [(path, fault) for path, entry in SCHEMA_LEAVES for fault in schema_faults(entry)]
+SCHEMA_FAULTS = [(path, fault, words) for path, entry in SCHEMA_LEAVES
+                 for fault, words in schema_faults(entry)]
+#: (flag, the leaf it is walked against, fault, words) of each fault of that
+#: leaf that argv can carry: the ints
+SCHEMA_FLAG_FAULTS = [(flag, path, fault, words)
+                      for flag, path in (("--seed", "seed"), ("--shots", "qpt.shots"))
+                      for fault, words in schema_faults(dict(SCHEMA_LEAVES)[path])
+                      if type(fault) is int]
 #: (path of an unknown key, path of a sibling leaf the base must hold)
 SCHEMA_UNKNOWN = [(f"{path}.zz" if path else "zz", f"{path}.{first}" if path else first)
                   for path, first in schema_dicts(cli.SCHEMA)]
@@ -1594,10 +1466,10 @@ def _no_propagation(monkeypatch):
 
 
 class TestSchemaRefusals:
-    @pytest.mark.parametrize("path,fault", SCHEMA_FAULTS,
-                             ids=[f"{p}={_short(f)}" for p, f in SCHEMA_FAULTS])
+    @pytest.mark.parametrize("path,fault,words", SCHEMA_FAULTS,
+                             ids=[f"{p}={_short(f)}" for p, f, _ in SCHEMA_FAULTS])
     def test_every_refused_value_exits_two_naming_its_key(
-        self, tmp_path, capsys, monkeypatch, path, fault
+        self, tmp_path, capsys, monkeypatch, path, fault, words
     ):
         _no_propagation(monkeypatch)
         sub, cfg = _base_holding(path)
@@ -1610,11 +1482,27 @@ class TestSchemaRefusals:
         code = cli.main([sub, "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{path}:" in err and "Traceback" not in err
+        assert f"{path}: {words}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,path,fault,words", SCHEMA_FLAG_FAULTS,
+                             ids=[f"{f}={v}" for f, _, v, _ in SCHEMA_FLAG_FAULTS])
+    def test_every_refused_flag_value_exits_two_naming_its_flag(
+        self, tmp_path, capsys, monkeypatch, flag, path, fault, words
+    ):
+        _no_propagation(monkeypatch)
+        sub, cfg = _base_holding(path)
+        config = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            cli.run(sub, str(config), str(tmp_path / "out"), **{flag[2:]: fault})
+        assert info.value.path == flag
+        argv = [sub, "--config", str(config), "--out", str(tmp_path / "o"), flag, str(fault)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {words}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("path,sibling", SCHEMA_UNKNOWN, ids=[p for p, _ in SCHEMA_UNKNOWN])
     def test_an_unknown_key_in_every_block_exits_two_naming_it(
-        self, tmp_path, monkeypatch, path, sibling
+        self, tmp_path, capsys, monkeypatch, path, sibling
     ):
         _no_propagation(monkeypatch)
         sub, cfg = _base_holding(sibling)
@@ -1622,6 +1510,9 @@ class TestSchemaRefusals:
         with pytest.raises(ConfigError) as info:
             cli.run(sub, str(config), str(tmp_path / "out"))
         assert info.value.path == path
+        assert cli.main([sub, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unknown key" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("path,value", SCHEMA_ADMITS,
                              ids=[f"{p}={_short(v)}" for p, v in SCHEMA_ADMITS])

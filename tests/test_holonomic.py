@@ -217,7 +217,9 @@ class TestCavitySynthesis:
             sched = hl.synthesize_cavity_gate(theta, math.pi, phi, g_tot)
             u = ev.schedule_unitary(sched, space="cavity_effective")
             assert hl.cavity_synthesis_infidelity(u, theta, math.pi, phi) < 1e-9
-            dist = phase_aligned_distance(u, hl.cavity_loop_unitary(theta, math.pi, phi))
+            # the effective basis {|0g>, |1g>, |0f>} holds the qutrit's (g, f, e)
+            loop = hl.loop_unitary(hl.HolonomicParams(theta, math.pi, phi))
+            dist = phase_aligned_distance(u, loop[np.ix_((0, 2, 1), (0, 2, 1))])
             assert dist < 1e-5
 
     @pytest.mark.parametrize("gamma", [

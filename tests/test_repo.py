@@ -5,10 +5,11 @@ The README's library quick start runs as written, the benchmark tracer in
 perfbench/ still finds every from-import wrap point it expects, so renaming
 a traced function fails here rather than in a traced run, the fits still
 call their least-squares solvers through the module attributes the tracer
-counts, no package module keeps an import it never uses or a private helper
-nothing calls, importing the CLI (or rejecting a bad config with it) loads
-no scipy, neither does a calibrate run of any kind, and the README's config
-reference lists exactly the keys of the CLI's schema table.
+counts, no package module keeps an import it never uses, a private helper
+nothing calls or a public name no workload uses, importing the CLI (or
+rejecting a bad config with it) loads no scipy, neither does a calibrate run
+of any kind, and the README's config reference lists exactly the keys of the
+CLI's schema table.
 """
 
 import ast
@@ -223,3 +224,34 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
     assert defined
     assert [d for d in defined if d.split()[-1] not in referenced] == []
+
+
+#: public names only the tests call: the analytic loop and the fidelity that
+#: the synthesized gates and the sweep's stacked fidelity are checked against
+TEST_REFERENCES = {"holonomic.py loop_unitary", "sweeps.py reduced_process_fidelity"}
+
+
+def test_every_public_definition_is_used():
+    # a public module-level name that neither the package, the benchmark nor
+    # the acceptance suite names is API no workload uses
+    sources = (sorted((ROOT / "src" / "holosim").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
+    defined, named = [], set()
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        for node in tree.body if path.parent.name == "holosim" else []:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                stored = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in stored for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.name} {name}" for name in names if not name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert defined
+    assert [d for d in defined if d.split()[-1] not in named and d not in TEST_REFERENCES] == []

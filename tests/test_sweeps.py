@@ -310,7 +310,7 @@ class TestCavityPipeline:
         # encode swap and gate; the decode swap is the encode swap's
         # photon-parity conjugate
         assert len(calls) == 2
-        assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
+        assert all(seg.phase != -sw.ENCODE_PHASE for sched in calls for seg in sched.segments)
 
     def test_decohered_run_integrates_two_channels(self, monkeypatch):
         calls = []
@@ -323,7 +323,7 @@ class TestCavityPipeline:
         monkeypatch.setattr(ev, "schedule_channel", counting)
         sw.cavity_pipeline((math.pi / 2.0, 0.0), include_decoherence=True, steps=256)
         assert len(calls) == 2  # encode swap and gate
-        assert all(seg.phase != sw.DECODE_PHASE for sched in calls for seg in sched.segments)
+        assert all(seg.phase != -sw.ENCODE_PHASE for sched in calls for seg in sched.segments)
 
     def test_decohered_run_propagates_no_unitary(self, monkeypatch):
         # no noiseless swap is integrated beside the channels
@@ -389,7 +389,7 @@ class TestPhotonParity:
     @pytest.mark.parametrize("steps", [256, 2048])
     def test_derived_decode_matches_direct_integration(self, steps):
         dev = md.paper_device()
-        decode = hl.encode_swap_schedule(dev.g_swap, sw.DECODE_PHASE)
+        decode = hl.encode_swap_schedule(dev.g_swap, -sw.ENCODE_PHASE)
         u_enc = ev.schedule_unitary(
             hl.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE), steps=steps,
             space="cavity_full",
@@ -409,4 +409,4 @@ class TestPhotonParity:
             )
 
         derived = sw._decode_from_encode(channel(sw.ENCODE_PHASE))
-        assert np.max(np.abs(derived - channel(sw.DECODE_PHASE))) <= 1e-14
+        assert np.max(np.abs(derived - channel(-sw.ENCODE_PHASE))) <= 1e-14
