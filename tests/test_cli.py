@@ -149,6 +149,18 @@ class TestConfigValidation:
             cli.run("sweep", str(path), str(tmp_path / "out"))
         assert info.value.path == "sweep.gate"
 
+    @pytest.mark.parametrize("family,gate", [
+        (f, g) for f, gates in sweeps.FAMILY_GATES.items()
+        for g in sorted({g for gs in sweeps.FAMILY_GATES.values() for g in gs} - set(gates))
+        + ["bogus"]])
+    def test_sweep_gate_refusal_lists_its_family_gates(self, tmp_path, capsys, family, gate):
+        cfg = {"schema_version": 1, "sweep": {"family": family, "gate": gate}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        valid = ", ".join(sweeps.FAMILY_GATES[family])
+        assert (f"sweep.gate: unknown gate {gate!r} for family {family!r} (valid: {valid})"
+                in capsys.readouterr().err)
+
     def test_sweep_axis_bounds(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -1294,6 +1306,55 @@ def test_unreadable_input_exits_two_without_traceback(tmp_path, capsys, text):
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "set_int_max_str_digits" not in err and "\x00" not in err
+
+
+#: NUL, BEL, LF, CR, ESC (which starts terminal control sequences), DEL, NEL
+#: and LINE SEPARATOR, none printable, and a printable non-ASCII letter
+MESSAGE_CHARACTERS = ["\x00", "\x07", "\n", "\r", "\x1b", "\x7f", "\x85", "\u2028", "é"]
+
+
+@pytest.mark.parametrize("where", ["data path", "unknown key"])
+@pytest.mark.parametrize("char", MESSAGE_CHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
+def test_message_characters_reach_stderr_escaped(tmp_path, capsys, where, char):
+    # the config carries the character into the error that cli.main prints;
+    # a printable one stays as written
+    name = f"a{char}b"
+    if where == "data path":
+        sub, cfg = "calibrate", {"calibrate": {"kind": "rabi", "trace": name}}
+    else:
+        sub, cfg = "gate", {"gate": {"name": "X_pi"}, name: 1}
+    config = write_config(tmp_path, dict(cfg, schema_version=1))
+    assert cli.main([sub, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n")
+    shown = name if char.isprintable() else f"a{repr(char)[1:-1]}b"
+    assert shown in err and (char.isprintable() or char not in err[:-1])
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("sub,text", [
+    ("gate", '{"schema_version": 1, "seed": -' + LONG + ', "gate": {"name": "X_pi"}}'),
+    ("gate", '{"schema_version": 1, "gate": {"theta": ' + LONG + ', "gamma": 1.0}}'),
+    ("rb", '{"schema_version": 1, "rb": {"lengths": [1, 2, ' + LONG + "]}}"),
+    ("gate", '{"schema_version": 1, "gate": {"name": "X_pi"}, "zz": ' + LONG + "}"),
+], ids=["negative seed", "number key", "list item", "unknown key"])
+def test_integer_past_the_digit_limit_is_refused_in_holosim_words(tmp_path, capsys, sub, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert (f"config holds an integer of 5000 digits, more than the {limit} that are read"
+            in capsys.readouterr().err)
+
+
+def test_integer_at_the_digit_limit_reaches_the_schema(tmp_path, capsys):
+    steps = "9" * sys.get_int_max_str_digits()
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": 1, "gate": {"name": "X_pi", "steps": ' + steps + "}}")
+    assert cli.main(["gate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "gate.steps: must be in [" in capsys.readouterr().err
 
 
 # ---- refusals generated from cli.SCHEMA ----

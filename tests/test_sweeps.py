@@ -26,6 +26,8 @@ from holosim.operators import gf_block, phase_aligned_distance
 
 SMALL_EPS = np.linspace(-0.08, 0.08, 5)
 SMALL_DETS = 2.0 * math.pi * 1e6 * np.array([-0.5, 0.0, 0.5])
+#: the gates of every family, and one that no family lists
+ALL_GATES = sorted({g for gates in sw.FAMILY_GATES.values() for g in gates} | {"CNOT"})
 
 
 class TestReferenceGates:
@@ -62,6 +64,21 @@ class TestReferenceGates:
         u = ev.schedule_unitary(schedule, steps=1024)
         assert phase_aligned_distance(gf_block(u), sw.HADAMARD @ np.diag([1, -1]) @ sw.HADAMARD) < 1e-4
         assert np.allclose(target, hl.target_u1(hl.QUBIT_GATES["X_pi"]))
+
+    @pytest.mark.parametrize("family,gate", [(f, g) for f, gates in sw.FAMILY_GATES.items()
+                                             for g in gates])
+    def test_every_listed_gate_builds_its_exact_reference(self, family, gate):
+        schedule, target = sw.reference_gate(family, gate)
+        u = ev.schedule_unitary(schedule, steps=1024)
+        assert sw.reduced_process_fidelity(u, target) > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("family,gate", [(f, g) for f, gates in sw.FAMILY_GATES.items()
+                                             for g in sorted(set(ALL_GATES) - set(gates))])
+    def test_unlisted_gate_refusal_names_its_family_gates(self, family, gate):
+        words = f"unknown {family} gate {gate!r}; choose from {list(sw.FAMILY_GATES[family])}"
+        with pytest.raises(OutOfRangeError) as info:
+            sw.reference_gate(family, gate)
+        assert str(info.value) == words
 
 
 class TestReducedFidelity:
