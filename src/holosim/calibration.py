@@ -220,7 +220,13 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
         raise IoError(f"{path} line {n}: expected the header {expected!r}, got {first!r}")
     if len(lines) == 1:
         raise IoError(f"{path} has a header and no data rows")
-    rows = []
+    try:  # numpy parses each cell as float() does, all rows in one call
+        data = np.array([ln.split(",") for _, ln in lines[1:]], dtype=float)
+    except ValueError:  # a cell float() refuses, or a ragged row
+        data = np.empty((0, 0))
+    if data.shape[1:] == (2,) and np.all(np.abs(data) <= MAX_CSV_MAGNITUDE):
+        return tuple(data.T.copy())
+    rows = []  # a row by row pass names the first bad line
     for n, ln in lines[1:]:
         try:
             row = [float(cell) for cell in ln.split(",")]
@@ -230,8 +236,7 @@ def read_csv_columns(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndar
             raise IoError(f"{path} line {n}: expected two finite numbers of magnitude "
                           f"at most {MAX_CSV_MAGNITUDE:g}, got {ln!r}")
         rows.append(row)
-    xs, ys = np.array(rows).T.copy()
-    return xs, ys
+    return tuple(np.array(rows).T.copy())
 
 
 @dataclass(frozen=True)

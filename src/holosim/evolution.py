@@ -14,52 +14,53 @@ duration/4096:
   eigendecomposition for six-level ones), reduced by a pairwise tree
   product. The Hamiltonian builders store their stacks entry-major, a
   (d, d, ..., N) array viewed as (..., N, d, d), so each entry h[..., i, j]
-  is one contiguous array. For qutrit spaces the exponential reads and
-  writes those entry arrays, and the tree product forms each entry of a 3x3
-  product as a sum of three products of entry arrays, with no matmul call
-  per pair; six-level spaces keep batched matmuls. Neither path's bits
-  depend on the stack's layout, and the propagator comes back C-ordered.
-  The Hamiltonian stack may carry leading batch axes (a block of sweep
-  cells runs the same code as one schedule), and a grid whose
-  Hamiltonian is constant is one exact exponential;
-* Lindblad: on a piece whose Hamiltonian is the same (exact ==) at every
-  RK4 node and midpoint, the Liouvillian L = -i[H, .] + sum_k D[L_k] is
-  constant and the channel is the one exact exponential exp(L (t1 - t0)),
-  an exactly CPTP map; a density-matrix trajectory then steps with the
-  exact exp(L dt), so it ends on the channel to rounding. Any other piece
-  (ramps, Gaussians) runs classic RK4 on dS/dt = L(t) S. L is linear, so
-  each RK4 step is a matrix S_{k+1} = M_k S_k built from the Liouvillians
-  at t_k, t_k + dt/2 and t_{k+1}; the maps are formed by batched matmuls,
-  a few MB of steps at a time. A channel superoperator (tomography,
-  benchmarking, the cavity pipeline) reduces them by a pairwise tree
-  product, with no Python loop over steps; a trajectory applies the same
-  maps to vec(rho0) in sequence and keeps every node.
+  is one contiguous array. The qutrit exponential reads and writes those
+  entry arrays, and the unitary tree forms each entry of a 3x3 product as a
+  sum of three products of entry arrays, with no matmul call per pair;
+  larger blocks use batched matmuls. Neither path's bits depend on the
+  stack's layout, and the propagator comes back C-ordered. The stack may
+  carry leading batch axes (a block of sweep cells runs the same code as
+  one schedule), and a grid whose Hamiltonian is constant is one exact
+  exponential;
+* Lindblad: on a piece whose Hamiltonian is the same at every RK4 node and
+  midpoint, the Liouvillian L = -i[H, .] + sum_k D[L_k] is constant and the
+  channel is the one exact exponential exp(L (t1 - t0)), an exactly CPTP
+  map; a density-matrix trajectory then steps with the exact exp(L dt), so
+  it ends on the channel to rounding. Any other piece (ramps, Gaussians)
+  runs classic RK4 on dS/dt = L(t) S. L is linear, so each RK4 step is a
+  matrix S_{k+1} = M_k S_k built from the Liouvillians at t_k, t_k + dt/2
+  and t_{k+1}, by batched matmuls, a few MB of steps at a time. A channel
+  superoperator (tomography, benchmarking, the cavity pipeline) reduces
+  them by a pairwise matmul tree for every block size, with no Python loop
+  over steps; a trajectory applies the same maps to vec(rho0) in sequence.
 
 Six-level spaces (d > 3) propagate per sector. The drives couple only |0g>,
 |0f> and |1g>, and each collapse operator shifts a level by a fixed amount,
 so H and the Liouvillian (in vec(rho), a weak symmetry: Buca & Prosen, NJP
 14, 073007 (2012)) are block diagonal. The sectors are the connected
 components of the nonzero pattern, unioned over every node and batch
-member. Each size group of sectors runs as one stack through the dense
-core (the gate's {|0g>, |0f>, |1g>} block takes the 3x3 closed form), and
-the result is assembled with exact zeros off the sectors. The guards run on
-the full stacks first, so refusals do not change. Qutrit spaces stay dense:
-a theta = 0 loop splits too, and splitting it would move the RB bits.
+member. Each size group of sectors runs as one stack through the dense core
+(a 3x3 unitary block by the closed form, Liouvillian blocks from one take),
+and the result is assembled with exact zeros off the sectors. The guards
+run on the full stacks first, so refusals do not change. Qutrit spaces stay
+dense: a theta = 0 loop splits too, and splitting it would move the RB bits.
 
 Schedules are integrated piecewise between segment boundaries and flat-top
 ramp edges so envelope kinks never fall inside a step; otherwise the
-integrator order degrades silently. A flat top is then a constant piece.
-CFM4 refuses a grid whose per-step phase max ||H||_inf dt over the Gauss
-nodes exceeds MAX_STEP_PHASE, even on a constant piece: beyond it the step
-unitaries no longer approximate the evolution. The Lindblad path refuses
-one whose Liouvillian step (2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds
-the same bound, because the commutator's spectrum reaches 2 ||H|| and
-beyond the bound RK4 leaves its stability region. Both paths refuse an H
-that is not Hermitian to 1e-8 at some node. The guards run before the
-constant-piece shortcut, so a grid is refused or accepted whatever its
-Hamiltonian's time dependence. A stack whose nodes are all equal (exact
-==; a nan never is) is guarded, and its sector pattern found, on its
-first node alone: the same verdict and numbers as the whole stack give.
+integrator order degrades silently. A flat top is then a constant piece:
+the schedule drivers build its H at one node and pass it broadcast with a
+zero stride over the time axis (_piece_hamiltonian). CFM4 refuses a grid
+whose per-step phase max ||H||_inf dt over the Gauss nodes exceeds
+MAX_STEP_PHASE, even on a constant piece: beyond it the step unitaries no
+longer approximate the evolution. The Lindblad path refuses one whose
+Liouvillian step (2 max_t ||H(t)||_inf + ||D||_inf) dt exceeds the same
+bound, because the commutator's spectrum reaches 2 ||H|| and beyond the
+bound RK4 leaves its stability region. Both paths refuse an H that is not
+Hermitian to 1e-8 at some node. The guards run before the constant-piece
+shortcut, so a grid is refused or accepted whatever its Hamiltonian's time
+dependence. A stack with a zero-stride time axis, or whose nodes are all
+equal (exact ==; a nan never is), is guarded, and its sector pattern found,
+on its first node alone: the same verdict and numbers as the whole stack.
 
 vec convention is row-major: vec(rho) = rho.reshape(-1), so the channel of
 a unitary U is kron(U, conj(U)).
@@ -80,7 +81,7 @@ from .errors import (
     StepTooLargeError,
 )
 from .operators import dagger, expm_hermitian, is_hermitian
-from .pulses import EDGE_TOL, GateSchedule
+from .pulses import EDGE_TOL, GateSchedule, SquareWithRamps, sample
 
 DEFAULT_STEPS = 4096
 TRACE_TOL = 1e-6
@@ -147,7 +148,10 @@ def _eval_hamiltonian(h, times: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(h_stack: np.ndarray) -> None:
-    if not is_hermitian(h_stack, 1e-8):
+    # the same verdict in one pass on a small stack; operators.is_hermitian's
+    # pair loop is the faster one on large stacks (a block of sweep cells)
+    if not (np.all(np.abs(h_stack - dagger(h_stack)) <= 1e-8) if h_stack.size <= 2**13
+            else is_hermitian(h_stack, 1e-8)):
         raise NonHermitianInputError("hamiltonian is not Hermitian on the grid")
 
 
@@ -161,24 +165,25 @@ def _check_step_phase(h_stack: np.ndarray, dt: float) -> None:
         )
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """prod_k mats[..., k, :, :] with the last k leftmost, by pairwise tree
-    reduction over axis -3; leading axes are batch axes.
-
-    3x3 factors are multiplied entry by entry on entry-major (3, 3, ..., k)
-    arrays, each entry of a product a sum of three products of entry arrays,
-    in place of one small matmul per pair; the tree and its association are
-    the same for every d, and the 3x3 result is the (..., 3, 3) view of an
-    entry-major array."""
+def _matmul_product(mats: np.ndarray) -> np.ndarray:
+    """prod_k mats[..., k, :, :], the last k leftmost, by a pairwise matmul tree
+    over axis -3; leading axes are batch axes."""
     acc = mats[..., ::-1, :, :]  # acc[..., 0, :, :] is the leftmost factor
+    while acc.shape[-3] > 1:
+        n = acc.shape[-3]
+        m = n - n % 2
+        paired = np.matmul(acc[..., 0:m:2, :, :], acc[..., 1:m:2, :, :])
+        acc = np.concatenate([paired, acc[..., m:, :, :]], axis=-3) if n % 2 else paired
+    return acc[..., 0, :, :]
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """_matmul_product of a unitary stack, with the same tree; 3x3 factors
+    are multiplied entry by entry on entry-major (3, 3, ..., k) arrays, in
+    place of one small matmul per pair, into an entry-major result."""
     if mats.shape[-1] != 3:
-        while acc.shape[-3] > 1:
-            n = acc.shape[-3]
-            m = n - n % 2
-            paired = np.matmul(acc[..., 0:m:2, :, :], acc[..., 1:m:2, :, :])
-            acc = np.concatenate([paired, acc[..., m:, :, :]], axis=-3) if n % 2 else paired
-        return acc[..., 0, :, :]
-    acc = np.moveaxis(acc, (-2, -1), (0, 1))
+        return _matmul_product(mats)
+    acc = np.moveaxis(mats[..., ::-1, :, :], (-2, -1), (0, 1))
     while acc.shape[-1] > 1:
         n = acc.shape[-1]
         m = n - n % 2
@@ -273,7 +278,8 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
     nodes = starts[:, None] + grid.dt * np.array([_C1, _C2])  # t_k + c dt
     h_gauss = _eval_hamiltonian(h, nodes.reshape(-1))
     dim = h_gauss.shape[-1]
-    flat = np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1))
+    flat = (np.ones(h_gauss.shape[:-3], dtype=bool) if h_gauss.strides[-3] == 0  # one node
+            else np.all(h_gauss == h_gauss[..., :1, :, :], axis=(-3, -2, -1)))
     if np.all(flat):  # one node decides every guard and pattern below
         h_gauss = h_gauss[..., :1, :, :]
     _check_hermitian(h_gauss)
@@ -297,8 +303,9 @@ def propagate_unitary(h, grid: TimeGrid) -> np.ndarray:
 
 # ---- Lindblad integration ----
 
-#: (key, superoperator) of the latest dissipator: every channel of a run
-#: shares one noise model, so one entry saves all rebuilds but the first
+#: (key, superoperator) of the latest dissipator, shared by a schedule's pieces; the
+#: cavity pipeline alternates q2 noise (swaps) and q1 noise (gate), so more entries
+#: would pay only across ops
 _last_dissipator: tuple = (None, None)
 
 
@@ -318,11 +325,13 @@ def _dissipator(collapse_ops, dim: int) -> np.ndarray:
     if key == last_key:
         return last
     anti = sum((dagger(c) @ c for c in ops), np.zeros((dim, dim), dtype=complex))
-    eye = np.eye(dim)
-    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for c in ops:
-        sup += np.kron(c, c.conj())
-    sup -= 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+    eye, n = np.eye(dim), dim * dim
+    # np.kron's products x[a, c] y[b, e] at (a d + b, c d + e), without its overhead
+    kron = lambda x, y: (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(-1, n, n)
+    sup = np.zeros((n, n), dtype=complex)
+    for term in kron(*(np.reshape(x, (-1, dim, dim)) for x in (ops, np.conj(ops)))):
+        sup += term
+    sup -= 0.5 * (kron(anti, eye)[0] + kron(eye, anti.T)[0])
     sup.flags.writeable = False
     _last_dissipator = (key, sup)
     return sup
@@ -348,27 +357,33 @@ def _check_liouvillian_step(h_stack: np.ndarray, diss: np.ndarray, dt: float) ->
         )
 
 
-def _liouvillians(h_stack: np.ndarray, diss: np.ndarray, idx=None) -> np.ndarray:
-    """Stack of Liouvillians -i[H_k, .] + diss, shape (k, d^2, d^2); for a
-    (g, s) array idx of vec indices, one sector per row, only the sector
-    blocks, (g, k, s, s) with the group axis leading.
+def _liouvillians(h_stack: np.ndarray, diss: np.ndarray, idx=None, rows=None) -> np.ndarray:
+    """Stack of Liouvillians -i[H_k, .] + diss at the given rows of the H
+    stack (default all), (rows, d^2, d^2); for a (g, s) array idx of vec
+    indices, one sector per row, only the sector blocks, (g, rows, s, s).
 
     -i kron(H, I) and +i kron(I, H^T) are scattered into their nonzero
     row-major positions instead of being formed as dense Kronecker products;
     a sector block gathers its entries -i H[a, c] delta(b, e) and
-    +i H[e, b] delta(a, c), where vec index a d + b is rho[a, b].
+    +i H[e, b] delta(a, c), where vec index a d + b is rho[a, b], in one
+    take on the flat entries (a view of an entry-major stack), summed in place.
     """
     k, d, _ = h_stack.shape
+    rows = np.arange(k) if rows is None else rows
     if idx is not None:
         a, b = (x[:, None, :, None] for x in np.divmod(idx, d))  # rows
         c, e = (x[:, None, None, :] for x in np.divmod(idx, d))  # columns
-        steps = np.arange(k)[:, None, None]
-        return (diss[a * d + b, c * d + e] + (-1j * (b == e)) * h_stack[steps, a, c]
-                + (1j * (a == c)) * h_stack[steps, e, b])
-    out = np.repeat(diss[None], k, axis=0)
-    blocks = out.reshape(k, d, d, d, d)  # [k, a, b, c, e]: row (a, b), col (c, e)
-    minus_ih = -1j * h_stack
-    plus_iht = 1j * h_stack.transpose(0, 2, 1)
+        at = np.stack(np.broadcast_arrays(a * d + c, e * d + b)) * k  # H[r, i, j]: (i d + j) k + r
+        at = at + rows[:, None, None]
+        minus, plus = np.take(np.moveaxis(h_stack, 0, -1).reshape(-1), at)
+        np.multiply(-1j * (b == e), minus, out=minus)
+        np.add(diss[a * d + b, c * d + e], minus, out=minus)
+        np.multiply(1j * (a == c), plus, out=plus)
+        return np.add(minus, plus, out=minus)
+    out = np.repeat(diss[None], rows.size, axis=0)
+    blocks = out.reshape(-1, d, d, d, d)  # [k, a, b, c, e]: row (a, b), col (c, e)
+    minus_ih = -1j * h_stack[rows]
+    plus_iht = 1j * h_stack[rows].transpose(0, 2, 1)
     for b in range(d):
         blocks[:, :, b, :, b] += minus_ih  # -i H[a, c] delta(b, e)
     for a in range(d):
@@ -412,9 +427,9 @@ _CHUNK_ENTRIES = 32 * 36 * 36
 
 
 def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
-    """Dissipator and the node and midpoint Hamiltonian stacks of a Lindblad
-    grid, plus whether H is the same, exact ==, at every node and midpoint;
-    on such a constant piece both stacks are cut to its first node.
+    """Dissipator and the H stack of a Lindblad grid (its N + 1 nodes, then its
+    N midpoints), plus whether H is the same at every node and midpoint (a
+    zero-stride time axis, or exact ==); such a stack is cut to its first node.
 
     H is evaluated on the nodes and midpoints in one call, and the
     dimension is read from it. The Liouvillian step guard and then the
@@ -423,26 +438,26 @@ def _guarded_hamiltonians(h, collapse_ops, grid: TimeGrid):
     """
     nodes, mids = _rk4_nodes(grid)
     h_all = _eval_hamiltonian(h, np.concatenate([nodes, mids]))
-    flat = bool(np.all(h_all == h_all[0]))
-    probe = h_all[:1] if flat else h_all
-    diss = _dissipator(collapse_ops, h_all.shape[-1])
-    _check_liouvillian_step(probe, diss, grid.dt)  # first: it names a nan
-    _check_hermitian(probe)
+    flat = h_all.strides[0] == 0 or bool(np.all(h_all == h_all[0]))
     if flat:
-        return diss, probe, probe, True
-    return diss, h_all[: nodes.size], h_all[nodes.size :], False
+        h_all = h_all[:1]
+    diss = _dissipator(collapse_ops, h_all.shape[-1])
+    _check_liouvillian_step(h_all, diss, grid.dt)  # first: it names a nan
+    _check_hermitian(h_all)
+    return diss, h_all, flat
 
 
-def _step_maps(diss: np.ndarray, h_nodes: np.ndarray, h_mids: np.ndarray, dt: float, idx=None):
-    """Yield the grid's RK4 step maps in order, in stacks of at most
-    _CHUNK_ENTRIES superoperator entries; for a (g, s) sector index array
-    idx (see _liouvillians) only the sector blocks, (g, k, s, s)."""
+def _step_maps(diss: np.ndarray, h_all: np.ndarray, dt: float, idx=None):
+    """Yield the RK4 step maps of a _guarded_hamiltonians stack in order, in
+    stacks of at most _CHUNK_ENTRIES superoperator entries; for a (g, s)
+    sector index array idx only the sector blocks, (g, k, s, s)."""
+    steps = h_all.shape[0] // 2
     entries = diss.size if idx is None else idx.size * idx.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // entries)
-    for j in range(0, h_mids.shape[0], chunk):
-        l_nodes = _liouvillians(h_nodes[j : j + chunk + 1], diss, idx)
-        l_mids = _liouvillians(h_mids[j : j + chunk], diss, idx)
-        yield _rk4_maps(l_nodes, l_mids, dt)
+    for j in range(0, steps, chunk):
+        kn = min(chunk, steps - j) + 1  # nodes j .. j + kn - 1 and the kn - 1 midpoints
+        ls = _liouvillians(h_all, diss, idx, np.r_[j : j + kn, steps + 1 + j : steps + j + kn])
+        yield _rk4_maps(ls[..., :kn, :, :], ls[..., kn:, :, :], dt)
 
 
 def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -461,17 +476,17 @@ def propagate_lindblad(h, collapse_ops, rho0: np.ndarray, grid: TimeGrid) -> Tra
         raise DimensionMismatchError(f"rho0 shape {rho.shape} is not square")
     if not is_hermitian(rho, 1e-9):
         raise NonHermitianInputError("rho0 must be Hermitian")
-    diss, h_nodes, h_mids, flat = _guarded_hamiltonians(h, collapse_ops, grid)
-    if h_nodes.shape[-1] != dim:
+    diss, h_all, flat = _guarded_hamiltonians(h, collapse_ops, grid)
+    if h_all.shape[-1] != dim:
         raise DimensionMismatchError(
-            f"hamiltonian is {h_nodes.shape[-1]}-dimensional, rho0 {dim}-dimensional"
+            f"hamiltonian is {h_all.shape[-1]}-dimensional, rho0 {dim}-dimensional"
         )
     if flat:
         from scipy.linalg import expm
-        step = expm(_liouvillians(h_nodes, diss)[0] * grid.dt)
+        step = expm(_liouvillians(h_all, diss)[0] * grid.dt)
         chunks = [np.broadcast_to(step, (grid.steps,) + diss.shape)]
     else:
-        chunks = _step_maps(diss, h_nodes, h_mids, grid.dt)
+        chunks = _step_maps(diss, h_all, grid.dt)
     vecs = np.empty((grid.steps + 1, dim * dim), dtype=complex)
     vecs[0] = rho.reshape(-1)
     k = 0
@@ -496,33 +511,29 @@ def channel_superoperator(h, collapse_ops, grid: TimeGrid) -> np.ndarray:
     same at every RK4 node and midpoint is one exact exponential
     exp(L (t1 - t0)), an exactly CPTP map. Otherwise RK4 on the linear
     Lindblad equation is a product of per-step maps; each chunk of maps is
-    reduced by the pairwise tree product, so no Python loop runs over
+    reduced by the pairwise matmul tree, so no Python loop runs over
     steps. The result equals propagating every input state. For d > 3 this
     runs per sector of the Liouvillian's nonzero pattern (module docstring).
     """
-    diss, h_nodes, h_mids, flat = _guarded_hamiltonians(h, collapse_ops, grid)
-    dim, n = h_nodes.shape[-1], diss.shape[0]
+    diss, h_all, flat = _guarded_hamiltonians(h, collapse_ops, grid)
+    dim, n = h_all.shape[-1], diss.shape[0]
     sectors = [None]  # the whole space, dense
     if dim > 3:
         # the pattern of |diss| - i[P, .] for H's nonzero pattern P: off the
         # diagonal, its terms never cancel
-        hp = np.count_nonzero(h_nodes, axis=0) + np.count_nonzero(h_mids, axis=0) > 0
+        hp = np.count_nonzero(h_all, axis=0) > 0
         sectors = _sectors(_liouvillians(hp[None] + 0j, np.abs(diss) + 0j)[0] != 0)
-    blocks = []
+    s = np.zeros((n, n), dtype=complex)
     for idx in sectors:
         if flat:
             from scipy.linalg import expm
-            l_const = _liouvillians(h_nodes, diss, idx)[..., 0, :, :]
-            blocks.append(expm(l_const * (grid.t1 - grid.t0)))
-            continue
-        s = np.eye(n if idx is None else idx.shape[1], dtype=complex)
-        for maps in _step_maps(diss, h_nodes, h_mids, grid.dt, idx):
-            s = _ordered_product(maps) @ s
-        blocks.append(s)
-    if dim <= 3:
-        return blocks[0]
-    s = np.zeros((n, n), dtype=complex)
-    for idx, block in zip(sectors, blocks):
+            block = expm(_liouvillians(h_all, diss, idx)[..., 0, :, :] * (grid.t1 - grid.t0))
+        else:
+            block = np.eye(n if idx is None else idx.shape[1], dtype=complex)
+            for maps in _step_maps(diss, h_all, grid.dt, idx):
+                block = _matmul_product(maps) @ block
+        if idx is None:
+            return block
         s[idx[:, :, None], idx[:, None, :]] = block
     return s
 
@@ -553,6 +564,30 @@ def _piece_grids(schedule: GateSchedule, steps: int):
     return pieces
 
 
+def _piece_hamiltonian(builder, schedule: GateSchedule, err, a: float, b: float):
+    """h(t) on the piece [a, b] of a schedule: the builder's stack, or on a flat
+    top H at one node broadcast with a zero stride over the time axis, which
+    the propagators take as constant with no pass over the nodes. In a flat
+    top every segment active in the piece is a flat-top envelope whose flat
+    span covers it (a Gaussian or ramp rules it out unsampled), and every
+    segment's waveform samples equal their first (exact ==)."""
+    h = lambda t: builder(schedule, err, t)
+    for seg in schedule.segments:
+        env = seg.envelope
+        lo = seg.start + env.ramp if isinstance(env, SquareWithRamps) else math.inf  # flat span
+        if seg.start < b and seg.end > a and not lo <= a <= b <= lo + env.flat:
+            return h
+
+    def flat_top(t):
+        if not all(np.all(sample(s.envelope, t - s.start) == sample(s.envelope, t[:1] - s.start))
+                   for s in schedule.segments):
+            return h(t)
+        one = h(t[:1])
+        return np.broadcast_to(one, one.shape[:-3] + (t.size,) + one.shape[-2:])
+
+    return flat_top
+
+
 def clear_cache() -> None:
     """No-op: propagators are computed afresh on every call and nothing is
     cached. Kept only while the benchmark harness in perfbench/ calls it."""
@@ -568,8 +603,8 @@ def schedule_unitary(
     builder, dim = SPACES[space]
     u = np.eye(dim, dtype=complex)
     for a, b, n in _piece_grids(schedule, steps):
-        grid = TimeGrid(a, b, n)
-        u = propagate_unitary(lambda t: builder(schedule, err, t), grid) @ u
+        u = propagate_unitary(_piece_hamiltonian(builder, schedule, err, a, b),
+                              TimeGrid(a, b, n)) @ u
     return u
 
 
@@ -598,6 +633,6 @@ def schedule_channel(
         collapse = model.six_level_collapse_operators(noise, cavity_noise)
     s = np.eye(dim * dim, dtype=complex)
     for a, b, n in _piece_grids(schedule, steps):
-        grid = TimeGrid(a, b, n)
-        s = channel_superoperator(lambda t: builder(schedule, err, t), collapse, grid) @ s
+        s = channel_superoperator(_piece_hamiltonian(builder, schedule, err, a, b),
+                                  collapse, TimeGrid(a, b, n)) @ s
     return s

@@ -277,8 +277,8 @@ def six_level_collapse_operators(
     """Collapse operators on {|0g>..|1f>}: transmon ops on both photon
     blocks plus photon loss / dephasing acting identically on all transmon
     levels."""
-    eye2 = np.eye(2)
-    ops = [np.kron(eye2, c) for c in collapse_operators(qutrit_noise)]
+    qutrit = np.reshape(collapse_operators(qutrit_noise), (-1, 1, 3, 1, 3))
+    ops = list((np.eye(2)[:, None, :, None] * qutrit).reshape(-1, 6, 6))  # each kron(I2, c)
     if cavity_noise.gamma_loss > 0:
         lower = np.array([[0.0, 1.0], [0.0, 0.0]])
         ops.append(math.sqrt(cavity_noise.gamma_loss) * np.kron(lower, np.eye(3)))

@@ -9,11 +9,13 @@ swap coupling 2 pi x 0.845 MHz; randomized draws cover the physical ranges.
 
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -175,6 +177,72 @@ class TestTrace:
             cal.ChevronPoint(offset=0.0, omega_r=0.0)
         with pytest.raises(OutOfRangeError):
             cal.ChevronPoint(offset=1.0, omega_r=-2.0)
+
+
+#: pieces of CSV cells: numbers, Unicode digits, underscores, padding,
+#: non-finite and out-of-range spellings, and text float() refuses
+CELL_PIECES = ["1", "-2.5", "0", "-0", "+7", "3e-300", "1e60", "1e61", "1e309", "-1e309",
+               "\u0661\u0662", "1_0", "_", "nan", "NaN", "inf", "-inf", "infinity", " ",
+               "\u00a0", "\t", "", ".", "e5", "abc", "0x1f", "\u2167"]
+
+
+@st.composite
+def csv_rows(draw):
+    """Data lines of a two-column CSV: cells joined from CELL_PIECES or float
+    reprs, and rows of one to three cells."""
+    piece = st.one_of(st.sampled_from(CELL_PIECES),
+                      st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    cell = st.lists(piece, min_size=1, max_size=3).map("".join)
+    widths = st.sampled_from([2] * 8 + [1, 3])
+    return draw(st.lists(widths.flatmap(lambda w: st.lists(cell, min_size=w, max_size=w)),
+                         min_size=1, max_size=12))
+
+
+def per_cell_columns(lines):
+    """The per-cell float() reading of numbered data lines: the two columns,
+    or the number of the first line that is not two finite numbers of
+    magnitude at most MAX_CSV_MAGNITUDE."""
+    rows = []
+    for n, ln in lines:
+        try:
+            row = [float(cell) for cell in ln.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 2 or not abs(row[0]) <= cal.MAX_CSV_MAGNITUDE >= abs(row[1]):
+            return n
+        rows.append(row)
+    return np.array(rows).T.copy()
+
+
+class TestCsvColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=csv_rows())
+    @example(rows=[["\u0661\u0662", "1_0"], [" 3 ", "\u00a04\t"]])
+    @example(rows=[["1e60", "-1e60"], ["-0", "3e-300"]])
+    @example(rows=[["1", "2"], ["1e61", "0"]])
+    @example(rows=[["1", "nan"]])
+    @example(rows=[["1", "2"], ["inf", "1"]])
+    @example(rows=[["1e309", "0"]])
+    @example(rows=[["1", "2"], ["3"]])
+    @example(rows=[["1", "2", "3"], ["4", "5", "6"]])
+    @example(rows=[["_1", "2"]])
+    def test_accepts_and_refuses_what_the_per_cell_reading_does(self, rows):
+        text = "x,y\n" + "".join(",".join(row) + "\n" for row in rows)
+        lines = [(n, t) for n, ln in enumerate(text.splitlines(), 1) if (t := ln.strip())]
+        want = per_cell_columns(lines[1:]) if len(lines) > 1 else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            if want is None or isinstance(want, int):
+                with pytest.raises(IoError) as info:
+                    cal.read_csv_columns(path, ("x", "y"))
+                if want is not None:
+                    assert f"line {want}:" in str(info.value)
+            else:
+                xs, ys = cal.read_csv_columns(path, ("x", "y"))
+                assert xs.tobytes() == want[0].tobytes() and ys.tobytes() == want[1].tobytes()
+                assert xs.flags.c_contiguous and ys.flags.c_contiguous
 
 
 class TestRateEquation:

@@ -20,6 +20,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holosim import cli
 from holosim import evolution as ev
 from holosim import holonomic as hl
 from holosim import model as md
@@ -31,7 +32,7 @@ from holosim.errors import (
     OutOfRangeError,
     StepTooLargeError,
 )
-from holosim.operators import expm_hermitian
+from holosim.operators import dagger, expm_hermitian
 from holosim.pulses import GateSchedule, PulseSegment, SquareWithRamps, TruncatedGaussian
 
 
@@ -228,6 +229,17 @@ class TestOrderedProduct:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-14
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 8])
+    def test_matmul_tree_matches_left_to_right_matmuls(self, d):
+        # the channel reduction for every block size, 3x3 sector maps included
+        rng = np.random.default_rng(d)
+        mats = rng.normal(size=(4, 67, d, d)) + 1j * rng.normal(size=(4, 67, d, d))
+        mats /= np.linalg.norm(mats, axis=(-2, -1), keepdims=True)
+        want = np.broadcast_to(np.eye(d, dtype=complex), (4, d, d))
+        for k in range(67):
+            want = mats[..., k, :, :] @ want
+        assert np.max(np.abs(ev._matmul_product(mats) - want)) < 1e-15
+
     def test_layout_does_not_change_bits(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(2, 37, 3, 3)) + 1j * rng.normal(size=(2, 37, 3, 3))
@@ -300,6 +312,26 @@ class TestLindblad:
         assert again is first and not first.flags.writeable
         other = ev._dissipator(ops[:1], 3)
         assert other is not first and not np.array_equal(other, first)
+
+
+class TestDissipator:
+    @pytest.mark.parametrize("model", ["qutrit q1", "six-level q1", "six-level q2", "none"])
+    def test_equals_the_kron_formula_bit_for_bit(self, model):
+        dev = md.paper_device()
+        ops, dim = {
+            "qutrit q1": (md.collapse_operators(dev.q1_noise), 3),
+            "six-level q1": (md.six_level_collapse_operators(dev.q1_noise, dev.cavity_noise), 6),
+            "six-level q2": (md.six_level_collapse_operators(dev.q2_noise, dev.cavity_noise), 6),
+            "none": ([], 3),
+        }[model]
+        anti = sum((dagger(c) @ c for c in ops), np.zeros((dim, dim), dtype=complex))
+        eye = np.eye(dim)
+        want = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for c in ops:
+            want += np.kron(c, c.conj())
+        want -= 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+        ev._last_dissipator = (None, None)  # build it, not the previous result
+        assert ev._dissipator(ops, dim).tobytes() == want.tobytes()
 
 
 class TestSuperoperators:
@@ -787,6 +819,168 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= before_mib * 2**20
+
+
+    def test_paper_swap_channel_at_the_step_cap_stays_small(self):
+        # a flat top is one node broadcast over its grid, so the working set
+        # is the ramps' stacks; it traced 73.98 MiB when the flat top's
+        # Hamiltonian was built, and compared, at all of its 122 503 nodes
+        sched, noise, _ = paper_leg("swap")
+        cavity_noise = md.paper_device().cavity_noise
+
+        def run(n):
+            return ev.schedule_channel(
+                sched, noise, steps=n, space="cavity_full", cavity_noise=cavity_noise
+            )
+
+        run(64)
+        tracemalloc.start()
+        try:
+            run(cli.MAX_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+
+def cli_schedules():
+    """(name, schedule, space) of every schedule shape the CLI integrates:
+    the swap, cavity gates with gamma = pi and not, all 24 Cliffords and the
+    dynamic sweep gates."""
+    dev = md.paper_device()
+    out = [("swap", sw.encode_swap_schedule(dev.g_swap, sw.ENCODE_PHASE), "cavity_full")]
+    for theta in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
+        sched = sw.cavity_gate_schedule(theta, 0.3, None, dev)
+        out += [(f"cavity {theta:.3f}", sched, space) for space in ("cavity_full", "cavity_effective")]
+    out.append(("cavity gamma 1.1", hl.synthesize_cavity_gate(2.0, 1.1, 0.4, 3e7), "cavity_full"))
+    out += [(f"clifford {k}", hl.synthesize_qubit_gate(p), "qutrit")
+            for k, p in enumerate(hl.clifford_table())]
+    out += [(f"dynamic {g}", sw.reference_gate("dynamic", g)[0], "qutrit")
+            for g in sw.FAMILY_GATES["dynamic"]]
+    return out
+
+
+CLI_SCHEDULES = cli_schedules()
+
+
+def piece_node_sets(grid):
+    """The two node sets a piece is evaluated on: CFM4's Gauss nodes and the
+    RK4 nodes followed by the midpoints."""
+    starts = grid.t0 + grid.dt * np.arange(grid.steps)
+    gauss = (starts[:, None] + grid.dt * np.array([ev._C1, ev._C2])).reshape(-1)
+    return gauss, np.concatenate(ev._rk4_nodes(grid))
+
+
+class TestFlatTopPieces:
+    @pytest.mark.parametrize("name, sched, space", CLI_SCHEDULES, ids=[c[0] for c in CLI_SCHEDULES])
+    @pytest.mark.parametrize("err", [md.NO_ERROR, md.ControlError(0.03, 2e5)])
+    def test_one_node_verdict_is_the_full_stack_verdict(self, name, sched, space, err):
+        builder = ev.SPACES[space][0]
+        flat_tops = 0
+        for steps in (64, 2048):
+            for a, b, n in ev._piece_grids(sched, steps):
+                h = ev._piece_hamiltonian(builder, sched, err, a, b)
+                for times in piece_node_sets(ev.TimeGrid(a, b, n)):
+                    stack, full = h(times), builder(sched, err, times)
+                    one_node = stack.strides[-3] == 0
+                    assert one_node == bool(np.all(full == full[..., :1, :, :]))
+                    assert np.ascontiguousarray(stack).tobytes() == np.ascontiguousarray(full).tobytes()
+                    flat_tops += one_node
+        # two node sets, two step counts: each flat top is found four times
+        assert flat_tops == (0 if name.startswith(("clifford", "dynamic")) else
+                             8 if "gamma" in name else 4)
+
+    def test_a_flat_span_that_rounding_breaks_is_caught_by_the_samples(self):
+        # the rectangle's flat span covers its piece, but its end, start +
+        # flat, rounds past the last RK4 node's local time, which reads 0
+        gauss = PulseSegment(TruncatedGaussian(sigma=15e-9, peak_amplitude=1e7),
+                             "two_photon", 0.0, 1e-9)
+        rect = PulseSegment(SquareWithRamps(80e-9, 0.0, 1e7), "raman", 0.3, gauss.end)
+        sched = GateSchedule((gauss, rect), rect.end)
+        a, b, n = ev._piece_grids(sched, 64)[-1]
+        assert (a, b) == (rect.start, rect.end)
+        times = piece_node_sets(ev.TimeGrid(a, b, n))[1]
+        stack = ev._piece_hamiltonian(md.six_level_cavity_hamiltonian, sched, md.NO_ERROR, a, b)(times)
+        full = md.six_level_cavity_hamiltonian(sched, md.NO_ERROR, times)
+        assert stack.strides[-3] != 0 and not np.all(full == full[0])
+        assert np.ascontiguousarray(stack).tobytes() == np.ascontiguousarray(full).tobytes()
+
+    def test_batched_control_errors_broadcast_one_node(self):
+        sched = sw.encode_swap_schedule(md.paper_device().g_swap, sw.ENCODE_PHASE)
+        err = md.ControlError(np.array([-0.05, 0.0, 0.05])[:, None], np.array([0.0, 3e5]))
+        a, b, n = ev._piece_grids(sched, 512)[1]
+        grid = ev.TimeGrid(a, b, n)
+        times = piece_node_sets(grid)[0]
+        h = ev._piece_hamiltonian(md.six_level_cavity_hamiltonian, sched, err, a, b)
+        assert h(times).shape == (3, 2, times.size, 6, 6) and h(times).strides[-3] == 0
+        full = lambda t: md.six_level_cavity_hamiltonian(sched, err, t)
+        assert ev.propagate_unitary(h, grid).tobytes() == ev.propagate_unitary(full, grid).tobytes()
+
+
+def zero_stride_pair(h0):
+    """h(t) returning h0 on every node as a zero-stride view, and as a
+    materialized entry-major copy."""
+    broadcast = lambda t: np.broadcast_to(h0[..., None, :, :],
+                                          h0.shape[:-2] + (np.size(t),) + h0.shape[-2:])
+    return broadcast, lambda t: entry_major(np.array(broadcast(t)))
+
+
+class TestZeroStrideStacks:
+    GRID = ev.TimeGrid(0.0, 1e-7, 16)
+
+    @staticmethod
+    def _runs(collapse):
+        rho0 = lambda d: np.diag(np.arange(1.0, d + 1) / (d * (d + 1) / 2)).astype(complex)
+        return {
+            "unitary": lambda h, g: ev.propagate_unitary(h, g),
+            "channel": lambda h, g: ev.channel_superoperator(h, collapse(h), g),
+            "trajectory": lambda h, g: ev.propagate_lindblad(
+                h, collapse(h), rho0(h(np.zeros(1)).shape[-1]), g).states,
+        }
+
+    @staticmethod
+    def _collapse(h):
+        d = h(np.zeros(1)).shape[-1]
+        if d == 3:
+            return md.collapse_operators(md.paper_device().q1_noise)
+        return md.six_level_collapse_operators(md.paper_device().q2_noise,
+                                               md.paper_device().cavity_noise)
+
+    def _flat_tops(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        sched = sw.encode_swap_schedule(md.paper_device().g_swap, sw.ENCODE_PHASE)
+        mid = 0.5 * sched.duration
+        return [1e7 * (x + x.conj().T), md.six_level_cavity_hamiltonian(sched, t=mid)]
+
+    @pytest.mark.parametrize("run", ["unitary", "channel", "trajectory"])
+    def test_same_bits_as_the_materialized_stack(self, run):
+        call = self._runs(self._collapse)[run]
+        for h0 in self._flat_tops():
+            broadcast, materialized = zero_stride_pair(h0)
+            got, want = call(broadcast, self.GRID), call(materialized, self.GRID)
+            assert got.tobytes() == want.tobytes()
+
+    def test_batch_axes_give_the_same_propagators(self):
+        h0 = np.stack([0.5 * self._flat_tops()[0], self._flat_tops()[0]])
+        broadcast, materialized = zero_stride_pair(h0)
+        got = ev.propagate_unitary(broadcast, self.GRID)
+        assert got.tobytes() == ev.propagate_unitary(materialized, self.GRID).tobytes()
+
+    @pytest.mark.parametrize("h0, errors", [
+        (1.0e9 * SX3, {"unitary": StepTooLargeError, "channel": StepTooLargeError}),
+        (1.0e6 * DECAY_10, {"unitary": NonHermitianInputError, "channel": NonHermitianInputError}),
+        (np.nan * SX3, {"unitary": NonHermitianInputError, "channel": StepTooLargeError}),
+    ], ids=["step", "non-hermitian", "nan"])
+    def test_same_refusals_as_the_materialized_stack(self, h0, errors):
+        runs = self._runs(lambda h: [])
+        for run, error in {**errors, "trajectory": errors["channel"]}.items():
+            refusals = []
+            for h in zero_stride_pair(h0):
+                with pytest.raises(HolosimError) as info:
+                    runs[run](h, self.GRID)
+                refusals.append((type(info.value), str(info.value)))
+            assert refusals[0] == refusals[1] and refusals[0][0] is error
 
 
 @st.composite

@@ -181,6 +181,16 @@ class TestCollapseOperators:
         assert loss[0][0, 3] == pytest.approx(math.sqrt(dev.cavity_noise.gamma_loss))
 
 
+    @pytest.mark.parametrize("noise", ["q1", "q2", "none"])
+    def test_six_level_transmon_operators_are_kron_bit_for_bit(self, noise):
+        dev = md.paper_device()
+        qutrit = {"q1": dev.q1_noise, "q2": dev.q2_noise, "none": md.NO_NOISE}[noise]
+        got = md.six_level_collapse_operators(qutrit, dev.cavity_noise)
+        want = [np.kron(np.eye(2), c).astype(complex) for c in md.collapse_operators(qutrit)]
+        assert len(got) == len(want) + 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 class TestRateMatrix:
     def test_columns_conserve_probability(self):
         n = md.paper_device().q1_noise
